@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .lattice import (
     IntMatrix,
+    InvariantError,
     primitive_part,
     quotient_projection,
     saturation,
@@ -618,7 +619,8 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
             v: (part[3 * i], part[3 * i + 1], part[3 * i + 2])
             for i, v in enumerate(t.vertices)}
         placed = PlacedCurve(t, positions, lengths)
-        assert placed.check()
+        if not placed.check():
+            raise InvariantError("solved placement violates its edge equations")
         out.append(Placement(t, si, placed, 0, False))
     return out
 

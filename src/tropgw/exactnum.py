@@ -157,9 +157,6 @@ class LaurentSeries:
     def is_real(self) -> bool:
         return all(c.is_real() for c in self.coeffs)
 
-    def max_known(self) -> int:
-        return self.order
-
     def _eff_low(self) -> int:
         # lowest exponent for precision bookkeeping; the zero series behaves
         # as if supported arbitrarily high, capped at its own order

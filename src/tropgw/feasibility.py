@@ -15,46 +15,23 @@ from math import gcd
 from typing import Sequence
 
 
-def _normalize(row: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-    if g > 1:
-        row = tuple(x // g for x in row)
-    return row
-
-
-def _to_int_rows(rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, ...]]:
-    out = []
-    for r in rows:
-        fr = [Fraction(x) for x in r]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
-        out.append(tuple(int(x * den) for x in fr))
-    return out
-
-
-def positive_combinations(b_rows: Sequence[Sequence[Fraction | int]]) -> list[tuple[int, ...]]:
+def positive_combinations(b_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Nonnegative combinations c with c*B = 0, generating the test cone.
 
     For the system  B s > r  (componentwise, strict) the returned rows are
     complete: the system is feasible iff  c . r < 0  for every returned c.
     Replacing > by >= everywhere turns the criterion into c . r <= 0.
+    B must have integer entries (TypeError otherwise); r may be rational.
     """
     m = len(b_rows)
     if m == 0:
         return []
     n = len(b_rows[0])
-    ints = _to_int_rows(b_rows)
+    if not all(isinstance(x, int) for r in b_rows for x in r):
+        raise TypeError("positive_combinations needs integer rows")
     # each work row: (B-part, combination-part)
-    work = [(_r, tuple(1 if i == j else 0 for j in range(m)))
-            for i, _r in enumerate(ints)]
-    # re-pair: normalization above must scale both parts together
-    work = []
-    for i, r in enumerate(ints):
-        comb = tuple(1 if i == j else 0 for j in range(m))
-        work.append((r, comb))
+    work = [(tuple(r), tuple(1 if i == j else 0 for j in range(m)))
+            for i, r in enumerate(b_rows)]
     for var in range(n):
         pos = [w for w in work if w[0][var] > 0]
         neg = [w for w in work if w[0][var] < 0]
@@ -100,7 +77,7 @@ def classify_strict(conditions: Sequence[Sequence[int]],
     return "boundary" if boundary else "feasible"
 
 
-def feasible_strict(b_rows: Sequence[Sequence[Fraction | int]],
+def feasible_strict(b_rows: Sequence[Sequence[int]],
                     r: Sequence[Fraction | int]) -> bool:
     return classify_strict(positive_combinations(b_rows), r) == "feasible"
 

@@ -17,6 +17,8 @@ from .exactnum import (
     quantum_integer_q,
     two_sin_half,
 )
+from .enumeration import _partitions
+from .lattice import InvariantError
 from .tropcurve import CurveType
 from .weights import curve_weight, substitution_consistent, vertex_series
 
@@ -50,7 +52,9 @@ def series_sqrt(s: LaurentSeries) -> LaurentSeries:
     out[0] = r0
     def coeff(i):
         c = s.coeff(s.low + i)
-        assert c.is_real()
+        if not c.is_real():
+            raise InvariantError(
+                "square root of a series with a non-real coefficient")
         return c.re
     for k in range(1, m + 1):
         acc = coeff(k)
@@ -94,17 +98,6 @@ def brackets_by_recursion(top: int, order: int) -> dict[int, LaurentSeries]:
 def recursion_matches_closed_form(top: int, order: int) -> bool:
     b = brackets_by_recursion(top, order)
     return all(b[m].agrees(two_sin_half(m, order)) for m in range(1, top + 1))
-
-
-def _partitions(n: int):
-    def rec(rest, mx):
-        if rest == 0:
-            yield ()
-            return
-        for p in range(min(rest, mx), 0, -1):
-            for tail in rec(rest - p, p):
-                yield (p,) + tail
-    yield from rec(n, n)
 
 
 def partition_aut(mu) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .exactnum import LaurentSeries, QHalfLaurent, quantum_integer_q, two_sin_half
+from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
 from .lattice import INFINITE, direct_sum_index, primitive_part
 from .enumeration import (
@@ -412,8 +412,3 @@ def p1_cubed_fan(special: Sequence[int] = ()) -> ToricFan:
 
 def _ray_index(fan: ToricFan, ray) -> int:
     return fan.rays.index(tuple(ray))
-
-
-# closed forms, re-exported for identity suites
-closed_form_series = two_sin_half
-closed_form_q = quantum_integer_q

@@ -1,17 +1,26 @@
 """Exact integer and rational linear algebra.
 
-Smith normal form, lattice indices, saturated integral kernels, primitive
-vectors and the canonical rank-2 quotient projections.  Matrices are tiny
-(tens of rows at most), so everything is plain arbitrary-precision arithmetic
-with no sparsity tricks.
+One fraction-free elimination kernel (Bareiss's integer-preserving
+Gauss-Jordan step) serves every solve, rank, null basis and determinant, in
+integers over one common denominator.  Smith normal form is kept only where
+its transforms or an index are needed: lattice indices and saturated
+integral kernels.  Besides these: primitive vectors, wedge indices and the
+canonical rank-2 quotient projections.  Matrices are tiny (tens of rows at
+most), so everything is plain arbitrary-precision arithmetic with no
+sparsity tricks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant of an exact computation failed: a bug, not bad
+    input.  Raised explicitly so the check survives ``python -O``."""
 
 
 class _Infinite:
@@ -93,12 +102,6 @@ class IntMatrix:
         if self.cols != len(v):
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return IntMatrix(tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)),
-                         self.rows, self.cols + other.cols)
 
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols,
@@ -206,10 +209,6 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rank(m: IntMatrix) -> int:
-    return len(invariant_factors(m))
-
-
 def lattice_index(m: IntMatrix) -> int | _Infinite:
     """Index of the column span of m inside the full integer lattice of its rows.
 
@@ -226,30 +225,11 @@ def lattice_index(m: IntMatrix) -> int | _Infinite:
 
 
 def determinant(m: IntMatrix) -> int:
-    """Bareiss fraction-free determinant."""
-    n = m.rows
-    if n != m.cols:
+    """Determinant from the fraction-free elimination: sign * den, or 0."""
+    if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    den, pivots, sign = _eliminate([list(r) for r in m.entries], m.cols)
+    return sign * den if len(pivots) == m.rows else 0
 
 
 def direct_sum_index(cols_a: Sequence[IntVec], cols_b: Sequence[IntVec],
@@ -323,7 +303,7 @@ def integral_kernel(m: IntMatrix) -> IntMatrix:
     if m.cols == 0:
         return IntMatrix.zero(0, 0)
     d, _, v = smith_normal_form(m)
-    r = len(invariant_factors(m))
+    r = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i] != 0)
     cols = [v.col(j) for j in range(r, m.cols)]
     return IntMatrix.from_cols(cols, rows_hint=m.cols)
 
@@ -338,7 +318,93 @@ def saturation(cols: Sequence[IntVec], ambient_dim: int) -> IntMatrix:
     return integral_kernel(perp.transpose())
 
 
-# -- rational elimination ----------------------------------------------------
+# -- fraction-free elimination -----------------------------------------------
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the least common multiple of its denominators; scaling an
+    equation leaves its solution set unchanged."""
+    den = 1
+    for x in row:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int], int]:
+    """Fraction-free Gauss-Jordan elimination on the first n columns, in place.
+
+    Bareiss's step: each update divides exactly by the previous pivot, and
+    the rows above the pivot are reduced as well.  Returns (den, pivots,
+    sign) with den > 0: pivot row i holds den in column pivots[i], a / den is
+    the reduced row echelon form of the input, and the rows past the pivots
+    vanish on the first n columns (the remaining columns are carried along).
+    sign is (-1)^(row swaps) times the sign of the last pivot, so a
+    nonsingular square matrix has determinant sign * den.
+    """
+    m = len(a)
+    pivots: list[int] = []
+    prev = 1
+    swaps = 0
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            swaps += 1
+        prow = a[r]
+        p = prow[c]
+        for i in range(m):
+            if i == r:
+                continue
+            f = a[i][c]
+            if f:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+            elif p != prev:
+                a[i] = [p * x // prev for x in a[i]]
+        pivots.append(c)
+        prev = p
+    sign = -1 if swaps % 2 else 1
+    if prev < 0:
+        sign = -sign
+        for i in range(len(pivots)):
+            a[i] = [-x for x in a[i]]
+    return abs(prev), pivots, sign
+
+
+def solve_integral(rows: Sequence[Sequence[Fraction | int]],
+                   rhs_cols: Sequence[Sequence[Fraction | int]]):
+    """Solve rows * x = b for every column b of rhs_cols, in integers.
+
+    Returns (den, sols, null) with den > 0, or None when some system is
+    inconsistent.  den * x, one tuple per right-hand side, is the solution of
+    the reduced row echelon form with every free variable 0; each null vector
+    is den times the reduced null vector that is 1 at its free column.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [_integer_row(list(r) + [b[i] for b in rhs_cols])
+         for i, r in enumerate(rows)]
+    den, pivots, _ = _eliminate(a, n)
+    if any(any(row[n:]) for row in a[len(pivots):]):
+        return None
+    sols = []
+    for j in range(n, n + len(rhs_cols)):
+        x = [0] * n
+        for i, c in enumerate(pivots):
+            x[c] = a[i][j]
+        sols.append(tuple(x))
+    null = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = den
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f]
+        null.append(tuple(v))
+    return den, sols, null
 
 
 def solve_rational(rows: Sequence[Sequence[Fraction | int]],
@@ -348,123 +414,14 @@ def solve_rational(rows: Sequence[Sequence[Fraction | int]],
     Returns (particular, basis) where basis spans the solution space of the
     homogeneous system, or None when inconsistent.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    free = [c for c in range(n) if c not in pivots]
-    part = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        part[c] = a[i][n]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -a[i][f]
-        basis.append(tuple(vec))
-    return tuple(part), basis
-
-
-def solve_rational_multi(rows: Sequence[Sequence[Fraction | int]],
-                         rhs_cols: Sequence[Sequence[Fraction | int]]):
-    """Simultaneously solve rows * x = b for several right-hand sides.
-
-    Returns (solutions, null_basis) with one particular solution per rhs, or
-    None if any system is inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    q = len(rhs_cols)
-    a = [[Fraction(x) for x in r] + [Fraction(rhs_cols[j][i]) for j in range(q)]
-         for i, r in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if any(a[i][n + j] != 0 for j in range(q)):
-            return None
-    sols = []
-    for j in range(q):
-        part = [Fraction(0)] * n
-        for i, c in enumerate(pivots):
-            part[c] = a[i][n + j]
-        sols.append(tuple(part))
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -a[i][f]
-        basis.append(tuple(vec))
-    return sols, basis
+    sol = solve_integral(rows, [rhs])
+    if sol is None:
+        return None
+    den, (part,), null = sol
+    return (tuple(Fraction(x, den) for x in part),
+            [tuple(Fraction(x, den) for x in v) for v in null])
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[Fraction(x) for x in r] for r in rows]
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(r + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def left_null_basis(rows: Sequence[Sequence[int]]) -> list[tuple[Fraction, ...]]:
-    """Basis of { w : w * M = 0 } for the matrix with the given rows."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    cols = [[Fraction(rows[i][j]) for i in range(m)] for j in range(n)]
-    sol = solve_rational(cols, [Fraction(0)] * n)
-    assert sol is not None
-    return sol[1]
+    a = [_integer_row(r) for r in rows]
+    return len(_eliminate(a, len(a[0]) if a else 0)[1])

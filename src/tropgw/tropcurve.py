@@ -20,10 +20,10 @@ from typing import Iterable, Sequence
 from .lattice import (
     INFINITE,
     IntMatrix,
+    InvariantError,
     integral_kernel,
     lattice_index,
     quotient_projection,
-    rank,
     rational_rank,
 )
 
@@ -215,11 +215,6 @@ class DeformationSpace:
     lattice: IntMatrix         # columns: saturated integral kernel
     dimension: int
 
-    @property
-    def rational_basis(self) -> IntMatrix:
-        # the saturated integral basis also spans the rational solution space
-        return self.lattice
-
 
 def edge_equation_matrix(t: CurveType) -> IntMatrix:
     """The 3k x (3n + k) system: x_head - x_tail - d*l = 0 per internal edge."""
@@ -250,7 +245,7 @@ def genus(t: CurveType) -> int:
 
 def is_transverse(t: CurveType) -> bool:
     a = edge_equation_matrix(t)
-    return rank(a) == 3 * t.n_internal
+    return rational_rank(a.entries) == 3 * t.n_internal
 
 
 def multiplicity(t: CurveType) -> int:
@@ -258,7 +253,8 @@ def multiplicity(t: CurveType) -> int:
     if not is_transverse(t):
         raise ValueError("multiplicity requires a transverse curve")
     idx = lattice_index(edge_equation_matrix(t))
-    assert idx is not INFINITE
+    if idx is INFINITE:
+        raise InvariantError("transverse curve must have a finite index")
     return idx
 
 
@@ -321,7 +317,8 @@ def loop_multiplicity(t: CurveType) -> int:
         return 1
     a = IntMatrix.from_rows(rows)
     idx = lattice_index(a)
-    assert idx is not INFINITE, "transverse curve must have full-rank loop system"
+    if idx is INFINITE:
+        raise InvariantError("transverse curve must have full-rank loop system")
     return idx
 
 
@@ -417,10 +414,6 @@ def automorphism_count(t: CurveType) -> int:
     """
     from math import factorial
 
-    pin = {}
-    for v, d, label in t.external_edges:
-        if pin.get(v, (None, None)) == (None, None):
-            pin[v] = v
     # vertices carrying ends must be fixed
     fixed = {v for v, _, _ in t.external_edges}
     free = [v for v in t.vertices if v not in fixed]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .exactnum import (
@@ -30,11 +31,12 @@ from .exactnum import (
 )
 from .feasibility import positive_combinations
 from .lattice import (
+    INFINITE,
     IntMatrix,
+    InvariantError,
     lattice_index,
-    left_null_basis,
     quotient_projection,
-    solve_rational_multi,
+    solve_integral,
     wedge_index,
 )
 from .enumeration import SearchBounds, enumerate_curve_types
@@ -360,7 +362,9 @@ class _ResolutionSolver:
             shift_vec.extend(pshifts[i])
         if entry[0] == "defective":
             null_rows = entry[1]
-            assert null_rows, "rank-deficient system must have left null vectors"
+            if not null_rows:
+                raise InvariantError(
+                    "rank-deficient system must have left null vectors")
             if all(sum(a * s for a, s in zip(row, shift_vec)) == 0
                    for row in null_rows):
                 return "nongeneric"  # solvable but not transversely
@@ -425,29 +429,33 @@ class _ResolutionSolver:
                 rows.append(row)
         if not rows:
             return ("surjective", 1, [])
-        rhs_cols = [[Fraction(1) if i == j else Fraction(0) for i in range(2 * k)]
+        # every solution and null vector below is scaled by the same den > 0,
+        # which the sign tests and the primitive rows do not see
+        rhs_cols = [[1 if i == j else 0 for i in range(2 * k)]
                     for j in range(2 * k)]
-        sol = solve_rational_multi(rows, rhs_cols)
+        sol = solve_integral(rows, rhs_cols)
         if sol is None:
-            return ("defective", [_int_row(r) for r in left_null_basis(rows)], None)
-        s_cols, null = sol
+            _, _, left_null = solve_integral([list(c) for c in zip(*rows)], [])
+            return ("defective", [_int_row(r) for r in left_null], None)
+        _, s_cols, null = sol
         # length extraction over the reduced coordinates
         l_rows = []
         for vi in range(len(reps)):
             for r_idx in length_rows_per_rep[vi]:
-                row = [Fraction(0)] * ncols
+                row = [0] * ncols
                 for j in range(dims[vi]):
-                    row[offs[vi] + j] = Fraction(kerns[vi].entries[r_idx][j])
+                    row[offs[vi] + j] = kerns[vi].entries[r_idx][j]
                 l_rows.append(row)
         if not l_rows:
             return ("surjective", None, [])
-        ln = [[_dot(lr, nc) for nc in null] for lr in l_rows]    # B = L N
+        # B = L N and L S
+        ln = [[sum(a * b for a, b in zip(lr, nc)) for nc in null] for lr in l_rows]
         conds = positive_combinations(ln)
-        ls = [[_dot(lr, sc) for sc in s_cols] for lr in l_rows]  # L S
+        ls = [[sum(a * b for a, b in zip(lr, sc)) for sc in s_cols] for lr in l_rows]
         g_rows = []
         seen = set()
         for c in conds:
-            row = _int_row([sum(Fraction(ci) * ls[i][j] for i, ci in enumerate(c))
+            row = _int_row([sum(ci * ls[i][j] for i, ci in enumerate(c))
                             for j in range(2 * k)])
             if row not in seen:
                 seen.add(row)
@@ -474,40 +482,15 @@ class _ResolutionSolver:
         if not rows:
             return 1
         idx = lattice_index(IntMatrix.from_rows(rows, cols_hint=ncols))
-        from .lattice import INFINITE
-        assert idx is not INFINITE, "solvable wiring must have finite index"
+        if idx is INFINITE:
+            raise InvariantError("solvable wiring must have finite index")
         return idx
 
 
-def _dot(row, col):
-    return sum(a * b for a, b in zip(row, col))
-
-
-def _int_row(row) -> tuple[int, ...]:
-    """Scale a rational row by a positive factor to primitive integers."""
-    from math import gcd
-    fr = [Fraction(x) for x in row]
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def _right_inverse_and_null(rows):
-    """For surjective M: columns of a rational right inverse, plus a nullspace basis."""
-    m = len(rows)
-    rhs_cols = [[Fraction(1) if i == j else Fraction(0) for i in range(m)]
-                for j in range(m)]
-    sol = solve_rational_multi(rows, rhs_cols)
-    assert sol is not None, "system claimed surjective but inconsistent"
-    s_cols, null = sol
-    return [list(c) for c in s_cols], [list(b) for b in null]
+def _int_row(row: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer row by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 # -- the gluing recursion ------------------------------------------------------

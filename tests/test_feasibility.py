@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, strategies as st
+from sympy import Rational, symbols
+from sympy.solvers.simplex import lpmax
+
 from tropgw.feasibility import (
     classify_strict,
     cone_meets_cone,
@@ -45,3 +50,35 @@ def test_cone_meeting():
 def test_rational_rhs():
     conds = positive_combinations([[2], [-3]])
     assert classify_strict(conds, [Fraction(1, 2), Fraction(-9, 10)]) == "feasible"
+
+
+def test_rational_rows_are_refused():
+    # s/2 > 3/5 and -s > -1 have no common solution; clearing the first
+    # row's denominator used to return combinations for the scaled rows
+    with pytest.raises(TypeError):
+        feasible_strict([[Fraction(1, 2)], [-1]], [Fraction(3, 5), -1])
+    with pytest.raises(TypeError):
+        positive_combinations([[Fraction(1, 2)], [-1]])
+    assert not feasible_strict([[1], [-2]], [Fraction(6, 5), -2])
+
+
+@st.composite
+def _strict_systems(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    b = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(m)]
+    r = [draw(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+         for _ in range(m)]
+    return b, r
+
+
+@given(_strict_systems())
+def test_feasible_strict_matches_exact_lp(system):
+    # B s > r has a solution iff max t subject to B s - t >= r, t <= 1 is > 0
+    b, r = system
+    s = symbols(f"s0:{len(b[0])}")
+    t = symbols("t")
+    cons = [sum(x * v for x, v in zip(row, s)) - t
+            >= Rational(c.numerator, c.denominator) for row, c in zip(b, r)]
+    best, _ = lpmax(t, cons + [t <= 1])
+    assert feasible_strict(b, r) == (best > 0)

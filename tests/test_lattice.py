@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import Matrix, Rational
 
 from tropgw.lattice import (
     INFINITE,
@@ -11,14 +12,13 @@ from tropgw.lattice import (
     direct_sum_index,
     integral_kernel,
     lattice_index,
-    left_null_basis,
     primitive_part,
     quotient_projection,
     rational_rank,
     saturation,
     smith_normal_form,
+    solve_integral,
     solve_rational,
-    solve_rational_multi,
     wedge_index,
 )
 
@@ -226,15 +226,20 @@ class TestRationalSolvers:
 
     def test_multi_matches_single(self):
         rows = [[1, 2, 0], [0, 1, 1]]
-        sols, null = solve_rational_multi(rows, [[1, 0], [0, 1]])
+        den, sols, null = solve_integral(rows, [[1, 0], [0, 1]])
+        assert den > 0
         for sol, rhs in zip(sols, ([1, 0], [0, 1])):
             for r, b in zip(rows, rhs):
-                assert sum(Fraction(x) * s for x, s in zip(r, sol)) == b
+                assert sum(x * s for x, s in zip(r, sol)) == den * b
+            part, basis = solve_rational(rows, rhs)
+            assert part == tuple(Fraction(x, den) for x in sol)
+            assert basis == [tuple(Fraction(x, den) for x in v) for v in null]
         assert len(null) == 1
 
     def test_left_null(self):
+        # the left null space of M is the null space of its transpose
         rows = [[1, 2], [2, 4]]
-        basis = left_null_basis(rows)
+        _, _, basis = solve_integral([list(c) for c in zip(*rows)], [])
         assert len(basis) == 1
         w = basis[0]
         assert w[0] * 1 + w[1] * 2 == 0
@@ -258,3 +263,56 @@ class TestSaturationHelper:
             assert res is not None
             part, _ = res
             assert all(x.denominator == 1 for x in part)
+
+
+# -- differential tests against sympy ---------------------------------------
+
+_entries = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@st.composite
+def _matrices(draw, entries=_entries, square=False):
+    r = draw(st.integers(1, 4))
+    c = r if square else draw(st.integers(1, 4))
+    rows = [[draw(entries) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        # force a dependent row, so rank-deficient systems are common
+        rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _sym(rows) -> Matrix:
+    return Matrix([[Rational(x.numerator, x.denominator) for x in r]
+                   for r in rows])
+
+
+def _frac(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+class TestAgainstSympy:
+    @given(_matrices(), st.data())
+    def test_solve_rational_matches_rref_and_nullspace(self, rows, data):
+        rhs = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+        n = len(rows[0])
+        red, pivots = _sym([r + [b] for r, b in zip(rows, rhs)]).rref()
+        got = solve_rational(rows, rhs)
+        if n in pivots:
+            assert got is None
+            return
+        part, basis = got
+        want = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            want[c] = _frac(red[i, n])
+        assert part == tuple(want)
+        assert basis == [tuple(_frac(x) for x in v) for v in _sym(rows).nullspace()]
+
+    @given(_matrices())
+    def test_rational_rank_matches(self, rows):
+        assert rational_rank(rows) == _sym(rows).rank()
+
+    @given(_matrices(entries=st.integers(-5, 5), square=True))
+    def test_determinant_matches(self, rows):
+        assert determinant(IntMatrix.from_rows(rows)) == _sym(rows).det()
