@@ -11,8 +11,8 @@ import argparse
 import time
 
 from tropgw.enumeration import SearchBounds, enumerate_curve_types
-from tropgw.identities import expected_gamma_mu_weight
-from tropgw.tropcurve import CurveType, are_isomorphic
+from tropgw.identities import expected_gamma_mu_weight, gamma_mu
+from tropgw.tropcurve import are_isomorphic
 from tropgw.weights import curve_weight
 
 
@@ -25,13 +25,6 @@ def partitions(n):
             for tail in rec(rest - p, p):
                 yield (p,) + tail
     yield from rec(n, n)
-
-
-def gamma_mu(n, mu):
-    ies = [(0, 1, (0, 0, m)) for m in mu]
-    ees = [(1, (1, 0, 0), 1), (0, (0, 1, 0), 2),
-           (1, (-1, 0, n), 3), (0, (0, -1, -n), 4)]
-    return CurveType.make([0, 1], ies, ees)
 
 
 def main():

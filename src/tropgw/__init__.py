@@ -12,7 +12,7 @@ from .tropcurve import (CurveType, DeformationSpace, PlacedCurve,
                         multiplicity, vertex_star)
 from .enumeration import (ConstraintCycle, SearchBounds, Stratum,
                           cycle_from_constraints, enumerate_curve_types,
-                          genericity_check, place_curves)
+                          place_curves)
 from .weights import (curve_weight, resolve_with_shifts, sample_shifts,
                       substitution_consistent, transverse_weight,
                       vertex_qpoly, vertex_series)

@@ -28,7 +28,6 @@ from .tropcurve import (
     CurveType,
     IntVec3,
     PlacedCurve,
-    are_isomorphic,
     edge_equation_matrix,
     evaluation_layout,
     evaluation_matrix,
@@ -437,8 +436,6 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
             if t is not None:
                 candidates.append(t)
 
-    # leaf-insertion enumerates each labeled tree topology exactly once, so
-    # the genus-zero layer needs no isomorphism dedupe
     base_trees = [t for t in candidates if not _cheap_reject(t)]
     expanded = list(base_trees)
     if bounds.max_genus > 0:
@@ -464,34 +461,24 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
                 if not _cheap_reject(s):
                     expanded.append(s)
 
-    # bounds, generality, dedupe (trees were unique already)
-    kept: list[CurveType] = []
-    buckets: dict = {}
-    n_base = len(base_trees)
-    for pos, t in enumerate(expanded):
+    # bounds, dedupe, generality; keys of rejects are kept too, to skip
+    # isomorphic copies
+    kept: list[tuple] = []
+    seen: set = set()
+    for t in expanded:
         if t.n_internal > bounds.max_internal_edges:
             continue
         if t.is_connected() and t.n_internal - t.n_vertices + 1 > bounds.max_genus:
             continue
-        if pos >= n_base:
-            key = _bucket_key(t)
-            group = buckets.setdefault(key, [])
-            if any(are_isomorphic(t, u) for u in group):
-                continue
-            group.append(t)   # remember rejects too, to skip isomorphic copies
+        key = t.canonical_key()
+        if key in seen:
+            continue
+        seen.add(key)
         if not is_general(t):
             continue
-        kept.append(t)
-    kept.sort(key=lambda t: t.canonical_key())
-    return kept
-
-
-def _bucket_key(t: CurveType):
-    from collections import Counter
-    ders = Counter()
-    for _, _, d in t.internal_edges:
-        ders[min(d, tuple(-x for x in d))] += 1
-    return (t.n_vertices, t.n_internal, tuple(sorted(ders.items())))
+        kept.append((key, t))
+    kept.sort(key=lambda kt: kt[0])
+    return [t for _, t in kept]
 
 
 def _set_partitions(items: list):
@@ -512,8 +499,7 @@ def _enumerate_disconnected(ends, bounds) -> list[CurveType]:
     trivial components" requirement of the disconnected count.
     """
     n = len(ends)
-    out = []
-    seen = []
+    out: dict = {}
     for part in _set_partitions(list(range(1, n + 1))):
         blocks = [sorted(b) for b in part]
         if any(tuple(sum(ends[l - 1][c] for l in b) for c in range(3)) != (0, 0, 0)
@@ -539,12 +525,10 @@ def _enumerate_disconnected(ends, bounds) -> list[CurveType]:
                 yield from rec(i + 1, acc + [(b, s)])
         for combo in rec(0, []):
             merged = _merge_components(combo)
-            if any(are_isomorphic(merged, u) for u in seen):
-                continue
-            seen.append(merged)
-            out.append(merged)
-    out.sort(key=lambda t: t.canonical_key())
-    return out
+            key = merged.canonical_key()
+            if key not in out:
+                out[key] = merged
+    return [out[key] for key in sorted(out)]
 
 
 def _merge_components(combo) -> CurveType:
@@ -570,8 +554,6 @@ class Placement:
     ctype: CurveType
     stratum_index: int
     curve: PlacedCurve
-    solution_dim: int          # 0 for a transverse hit
-    boundary: bool             # some length vanished exactly
 
 
 class GenericityFailure(Exception):
@@ -621,18 +603,6 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
         placed = PlacedCurve(t, positions, lengths)
         if not placed.check():
             raise InvariantError("solved placement violates its edge equations")
-        out.append(Placement(t, si, placed, 0, False))
+        out.append(Placement(t, si, placed))
     return out
 
-
-def genericity_check(t: CurveType, cycle: ConstraintCycle,
-                     placements: Sequence[Placement]) -> bool:
-    """Re-verify that every placement is a clean transverse intersection."""
-    for p in placements:
-        if p.solution_dim != 0 or p.boundary:
-            return False
-        if not p.curve.check():
-            return False
-        if any(l <= 0 for l in p.curve.lengths.values()):
-            return False
-    return True

@@ -200,7 +200,10 @@ def substitution_bridge_holds(top: int, order: int) -> bool:
 # -- suites ---------------------------------------------------------------------
 
 
-def _gamma_mu(n, mu) -> CurveType:
+def gamma_mu(n, mu) -> CurveType:
+    """The loop-family type: two vertices joined by one internal edge
+    (0, 0, m) per part m of mu, with ends (1, 0, 0), (0, 1, 0), (-1, 0, n)
+    and (0, -1, -n)."""
     ies = [(0, 1, (0, 0, m)) for m in mu]
     ees = [(1, (1, 0, 0), 1), (0, (0, 1, 0), 2),
            (1, (-1, 0, n), 3), (0, (0, -1, -n), 4)]
@@ -235,7 +238,7 @@ def suite_s3(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
     checks.append((f"planar bracket relation on {len(triples)} triples", ok))
     for total in range(1, 7):
         for mu in _partitions(total):
-            w = curve_weight(_gamma_mu(total, mu), order, "lambda", seed)
+            w = curve_weight(gamma_mu(total, mu), order, "lambda", seed)
             checks.append((f"loop family weight for mu={mu}",
                            w.agrees(expected_gamma_mu_weight(mu, order))))
     return checks
@@ -279,7 +282,7 @@ def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
             if len(mu) == 1:
                 continue
             checks.append((f"loop family consistency for mu={mu}",
-                           substitution_consistent(_gamma_mu(total, mu), order, seed)))
+                           substitution_consistent(gamma_mu(total, mu), order, seed)))
     from .invariants import p1_cubed_fan, reduced_dt
     dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, order, seed)
     checks.append(("product-of-lines reduced DT equals q",

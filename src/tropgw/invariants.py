@@ -30,9 +30,7 @@ from .enumeration import (
     place_curves,
 )
 from .tropcurve import CurveType, automorphism_count, evaluation_image
-from .weights import curve_weight
-
-RESAMPLE_CAP = 16
+from .weights import RESAMPLE_CAP, curve_weight
 
 
 # -- toric fans ----------------------------------------------------------------
@@ -93,9 +91,17 @@ class ToricFan:
 
     @staticmethod
     def from_json(d: dict) -> "ToricFan":
-        return ToricFan(tuple(tuple(r) for r in d["rays"]),
-                        tuple(tuple(c) for c in d["cones"]),
+        return ToricFan(_int_tuples(d["rays"], "rays"),
+                        _int_tuples(d["cones"], "cones"),
                         frozenset(d.get("special_rays", ())))
+
+
+def _int_tuples(items, what: str):
+    """A JSON list of lists of integers as a tuple of tuples."""
+    if not isinstance(items, list) or not all(
+            isinstance(x, list) and all(type(c) is int for c in x) for x in items):
+        raise ValueError(f"{what} must be lists of integers")
+    return tuple(tuple(x) for x in items)
 
 
 def _faces(c: tuple[int, ...]):

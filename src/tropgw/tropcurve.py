@@ -9,12 +9,20 @@ tail and -d at its head, and a placement satisfies
 
 so flipping (tail, head, d) to (head, tail, -d) changes nothing.  All derived
 invariants (transversality, multiplicities, generality) are exact.
+
+Types are told apart through one canonical labeling (colour refinement plus
+individualization, as in McKay and Piperno's nauty): isomorphism is equality
+of canonical keys, the automorphism count is the number of search leaves
+reaching the key times the orders of the parallel-edge permutations, and a
+relabeling between two isomorphic types composes their canonical orders.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Sequence
 
 from .lattice import (
@@ -182,7 +190,7 @@ class CurveType:
     def canonical_key(self):
         """Hashable key identifying the type up to vertex relabeling
         and edge orientation/reordering; external labels are significant."""
-        return _canonical_key(self)
+        return _canonical_form(self)[0]
 
     def to_json(self) -> dict:
         return {
@@ -386,23 +394,21 @@ def evaluation_image(t: CurveType) -> IntMatrix:
 
 
 def is_general(t: CurveType) -> bool:
-    """Deformation dimension equals the number of ends and evaluation is injective."""
-    ds = deformation_space(t)
-    if ds.dimension != t.n_ends:
+    """Deformation dimension equals the number of ends and evaluation is injective.
+
+    Both are ranks: the kernel of the edge equations A has dimension n_ends,
+    and it meets the kernel of the evaluation map only in 0, that is A
+    stacked on the evaluation rows has full column rank.
+    """
+    a = edge_equation_matrix(t)
+    ncols = 3 * t.n_vertices + t.n_internal
+    if rational_rank(a.entries) != ncols - t.n_ends:
         return False
     ev, _ = evaluation_matrix(t)
-    img = ev.mul(ds.lattice)
-    return rational_rank(img.entries) == ds.dimension
+    return rational_rank(a.entries + ev.entries) == ncols
 
 
 # -- automorphisms ------------------------------------------------------------
-
-
-def _edge_key(e: tuple[int, int, IntVec3]):
-    t, h, d = e
-    a = (t, h, d)
-    b = (h, t, tuple(-x for x in d))
-    return min(a, b)
 
 
 def automorphism_count(t: CurveType) -> int:
@@ -412,51 +418,10 @@ def automorphism_count(t: CurveType) -> int:
     orientation flip and fix the attachment of every labeled end; parallel
     identical edges may be permuted freely, contributing factorials.
     """
-    from math import factorial
-
-    # vertices carrying ends must be fixed
-    fixed = {v for v, _, _ in t.external_edges}
-    free = [v for v in t.vertices if v not in fixed]
-
-    from collections import Counter
-    base_edges = Counter(_edge_key(e) for e in t.internal_edges)
-
-    def edge_multiset(sigma):
-        return Counter(
-            _edge_key((sigma[tl], sigma[hd], d)) for tl, hd, d in t.internal_edges)
-
-    count = 0
-    # neighborhood signature pruning for the free vertices
-    def signature(v):
-        inc = sorted((kind if kind == "ext" else "int", d)
-                     for kind, _, d in t.incident(v))
-        return tuple(inc)
-
-    sigs = {v: signature(v) for v in t.vertices}
-    candidates = {v: [w for w in free if sigs[w] == sigs[v]] for v in free}
-
-    def backtrack(i, sigma, used):
-        nonlocal count
-        if i == len(free):
-            if edge_multiset(sigma) == base_edges:
-                mult = 1
-                for key, c in base_edges.items():
-                    mult *= factorial(c)
-                count += mult
-            return
-        v = free[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            sigma[v] = w
-            used.add(w)
-            backtrack(i + 1, sigma, used)
-            used.discard(w)
-        del v
-
-    sigma0 = {v: v for v in fixed}
-    backtrack(0, sigma0, set())
-    return count
+    key, _, n_aut = _canonical_form(t)
+    for c in Counter(key[0]).values():
+        n_aut *= factorial(c)
+    return n_aut
 
 
 # -- local models -------------------------------------------------------------
@@ -513,115 +478,70 @@ class PlacedCurve:
 # -- isomorphism --------------------------------------------------------------
 
 
-def _refine_colors(t: CurveType):
-    from collections import Counter
-    colors = {}
-    for v in t.vertices:
-        ext = tuple(sorted((d, l) for vv, d, l in t.external_edges if vv == v))
-        inc = tuple(sorted(Counter(d for _, _, d in t.incident(v)).items()))
-        colors[v] = (ext, inc)
-    return colors
+def _canonical_form(t: CurveType, labeled: bool = True):
+    """Canonical labeling by colour refinement and individualization.
+
+    Returns (key, order, n_aut).  Vertices start coloured by their ends, as
+    (derivative, label) or, with labeled=False, (derivative,); refinement
+    splits each colour by the multiset of (neighbour colour, outgoing
+    derivative) until the number of cells is stable.  The search then
+    individualizes each vertex of the first non-singleton cell in turn and
+    recurses.  Each leaf (a discrete colouring) encodes t as its sorted edges,
+    each as the smaller of its two orientations on vertex positions, and its
+    sorted ends.  key is the least encoding followed by the vertex count,
+    order the vertex order of a leaf reaching it, and n_aut the number of
+    leaves reaching it.  The search is not pruned, so the vertex
+    automorphisms act freely and transitively on those leaves and n_aut is
+    their number.
+    """
+    n = t.n_vertices
+    at = {v: i for i, v in enumerate(t.vertices)}
+    ends = [[] for _ in range(n)]
+    for v, d, l in t.external_edges:
+        ends[at[v]].append((d, l) if labeled else (d,))
+    nbrs = [[] for _ in range(n)]
+    edges = []
+    for a, b, d in t.internal_edges:
+        i, j, nd = at[a], at[b], tuple(-x for x in d)
+        nbrs[i].append((j, d))
+        nbrs[j].append((i, nd))
+        edges.append((i, j, d, nd))
+
+    def ranked(sigs):
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        return [rank[s] for s in sigs], len(rank)
+
+    best = order = None
+    n_aut = 0
+
+    def search(colour, cells):
+        nonlocal best, order, n_aut
+        while True:
+            refined, k = ranked([
+                (colour[i], tuple(sorted((colour[j], d) for j, d in nbrs[i])))
+                for i in range(n)])
+            if k == cells:
+                break
+            colour, cells = refined, k
+        if cells < n:
+            target = min(c for c in colour if colour.count(c) > 1)
+            for i in range(n):
+                if colour[i] == target:
+                    search(*ranked([(c, j != i) for j, c in enumerate(colour)]))
+            return
+        enc = (tuple(sorted(min((colour[i], colour[j], d), (colour[j], colour[i], nd))
+                            for i, j, d, nd in edges)),
+               tuple(sorted((colour[i],) + e for i in range(n) for e in ends[i])))
+        if best is None or enc < best:
+            best, n_aut = enc, 0
+            order = tuple(t.vertices[i] for i in sorted(range(n), key=colour.__getitem__))
+        if enc == best:
+            n_aut += 1
+
+    search(*ranked([tuple(sorted(e)) for e in ends]))
+    return best + (n,), order, n_aut
 
 
 def are_isomorphic(t1: CurveType, t2: CurveType) -> bool:
     """Isomorphism fixing external labels (orientation flips allowed)."""
-    if (t1.n_vertices != t2.n_vertices or t1.n_internal != t2.n_internal
-            or sorted((d, l) for _, d, l in t1.external_edges)
-            != sorted((d, l) for _, d, l in t2.external_edges)):
-        return False
-    return _find_isomorphism(t1, t2) is not None
-
-
-def _find_isomorphism(t1: CurveType, t2: CurveType):
-    from collections import Counter
-
-    c1, c2 = _refine_colors(t1), _refine_colors(t2)
-    if sorted(c1.values()) != sorted(c2.values()):
-        return None
-    # external attachments force part of the map
-    anchor1 = {l: v for v, _, l in t1.external_edges}
-    anchor2 = {l: v for v, _, l in t2.external_edges}
-    sigma = {}
-    for l, v in anchor1.items():
-        w = anchor2[l]
-        if v in sigma and sigma[v] != w:
-            return None
-        if c1[v] != c2[w]:
-            return None
-        sigma[v] = w
-
-    e2 = Counter(_edge_key(e) for e in t2.internal_edges)
-    free = [v for v in t1.vertices if v not in sigma]
-    used = set(sigma.values())
-
-    def ok(sig):
-        return Counter(_edge_key((sig[t], sig[h], d))
-                       for t, h, d in t1.internal_edges) == e2
-
-    result = None
-
-    def backtrack(i):
-        nonlocal result
-        if result is not None:
-            return
-        if i == len(free):
-            if ok(sigma):
-                result = dict(sigma)
-            return
-        v = free[i]
-        for w in t2.vertices:
-            if w in used or c1[v] != c2[w]:
-                continue
-            sigma[v] = w
-            used.add(w)
-            backtrack(i + 1)
-            used.discard(w)
-            del sigma[v]
-
-    backtrack(0)
-    return result
-
-
-def _canonical_key(t: CurveType):
-    """Deterministic key invariant under vertex relabeling and edge flips."""
-    colors = _refine_colors(t)
-    base = sorted(t.vertices, key=lambda v: (colors[v], v))
-    best = None
-    # vertices pinned by ends get canonical positions via their label sets;
-    # remaining ambiguity is resolved by trying orders within color classes
-    from itertools import permutations as perms
-    groups = []
-    i = 0
-    while i < len(base):
-        j = i
-        while j < len(base) and colors[base[j]] == colors[base[i]]:
-            j += 1
-        groups.append(base[i:j])
-        i = j
-    if any(len(g) > 6 for g in groups):
-        # fall back: color order only (coarser but still deterministic for
-        # hashing; equality then goes through are_isomorphic)
-        idx = {v: i for i, v in enumerate(base)}
-        edges = sorted(min((idx[t_], idx[h], d), (idx[h], idx[t_], tuple(-x for x in d)))
-                       for t_, h, d in t.internal_edges)
-        ends = sorted((idx[v], d, l) for v, d, l in t.external_edges)
-        return ("coarse", tuple(edges), tuple(ends))
-
-    def orders(gs):
-        if not gs:
-            yield []
-            return
-        for p in perms(gs[0]):
-            for rest in orders(gs[1:]):
-                yield list(p) + rest
-
-    for order in orders(groups):
-        idx = {v: i for i, v in enumerate(order)}
-        edges = tuple(sorted(
-            min((idx[t_], idx[h], d), (idx[h], idx[t_], tuple(-x for x in d)))
-            for t_, h, d in t.internal_edges))
-        ends = tuple(sorted((idx[v], d, l) for v, d, l in t.external_edges))
-        key = (edges, ends)
-        if best is None or key < best:
-            best = key
-    return ("exact",) + best
+    return t1.canonical_key() == t2.canonical_key()

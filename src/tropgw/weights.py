@@ -42,7 +42,7 @@ from .lattice import (
 from .enumeration import SearchBounds, enumerate_curve_types
 from .tropcurve import (
     CurveType,
-    _edge_key,
+    _canonical_form,
     automorphism_count,
     deformation_space,
     is_general,
@@ -217,20 +217,31 @@ def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resol
 def _group_by_relabeling(cands: list[CurveType]):
     """Return [(rep, candidate, perm, inv)] where perm relabels rep's ends to
     the candidate's (identity on derivatives) and inv[cand_label - 1] is the
-    rep label; reps are shared across the group."""
+    rep label; reps are shared across the group.
+
+    Candidates are grouped by their label-free canonical key.  Composing the
+    two canonical vertex orders maps rep onto the candidate; the label
+    permutation is read off per (vertex, derivative) group, in label order.
+    """
     out = []
-    reps: list[CurveType] = []
+    reps: dict = {}
     for c in cands:
-        perm = None
-        for r in reps:
-            perm = _label_relabeling(r, c)
-            if perm is not None:
-                out.append((r, c, perm, _invert_perm(perm)))
-                break
-        else:
+        key, order, _ = _canonical_form(c, labeled=False)
+        if key not in reps:
+            reps[key] = (c, order)
             perm = tuple(range(1, c.n_ends + 1))
-            reps.append(c)
             out.append((c, c, perm, perm))
+            continue
+        r, rorder = reps[key]
+        sigma = dict(zip(rorder, order))
+        labels: dict = {}
+        for v, d, l in sorted(c.external_edges, key=lambda e: e[2]):
+            labels.setdefault((v, d), []).append(l)
+        perm = [0] * r.n_ends
+        for v, d, l in sorted(r.external_edges, key=lambda e: e[2]):
+            perm[l - 1] = labels[(sigma[v], d)].pop(0)
+        perm = tuple(perm)
+        out.append((r, c, perm, _invert_perm(perm)))
     return out
 
 
@@ -239,71 +250,6 @@ def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
     for i, p in enumerate(perm):
         inv[p - 1] = i + 1
     return tuple(inv)
-
-
-def _label_relabeling(rep: CurveType, cand: CurveType):
-    """Permutation p with p[label-1] = new label turning rep into cand, if any.
-
-    Searches vertex bijections compatible with the label-free structure; the
-    label permutation is read off per (vertex, derivative) group afterwards.
-    """
-    from collections import Counter
-
-    if rep.n_vertices != cand.n_vertices or rep.n_internal != cand.n_internal:
-        return None
-
-    def color(t, v):
-        ext = Counter(d for vv, d, _ in t.external_edges if vv == v)
-        inc = Counter(d for _, _, d in t.incident(v))
-        return (tuple(sorted(ext.items())), tuple(sorted(inc.items())))
-
-    c1 = {v: color(rep, v) for v in rep.vertices}
-    c2 = {v: color(cand, v) for v in cand.vertices}
-    if sorted(c1.values()) != sorted(c2.values()):
-        return None
-    target = Counter(_edge_key(e) for e in cand.internal_edges)
-
-    verts = list(rep.vertices)
-    cand_by_color: dict = {}
-    for w in cand.vertices:
-        cand_by_color.setdefault(c2[w], []).append(w)
-
-    sigma: dict = {}
-    used: set = set()
-
-    def backtrack(i):
-        if i == len(verts):
-            got = Counter(_edge_key((sigma[a], sigma[b], d))
-                          for a, b, d in rep.internal_edges)
-            return got == target
-        v = verts[i]
-        for w in cand_by_color.get(c1[v], ()):
-            if w in used:
-                continue
-            sigma[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            used.discard(w)
-            del sigma[v]
-        return False
-
-    if not backtrack(0):
-        return None
-    # read off the label matching within each (vertex, derivative) group
-    perm = [0] * rep.n_ends
-    groups: dict = {}
-    for v, d, l in cand.external_edges:
-        groups.setdefault((v, d), []).append(l)
-    for g in groups.values():
-        g.sort()
-    taken: dict = {}
-    for v, d, l in sorted(rep.external_edges, key=lambda e: e[2]):
-        key = (sigma[v], d)
-        pos = taken.get(key, 0)
-        perm[l - 1] = groups[key][pos]
-        taken[key] = pos + 1
-    return tuple(perm)
 
 
 class _ResolutionSolver:

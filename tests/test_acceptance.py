@@ -11,7 +11,7 @@ from math import gcd
 from tropgw.enumeration import SearchBounds, cycle_from_constraints, enumerate_curve_types
 from tropgw.exactnum import LaurentSeries, normalized_sin_half, two_sin_half
 from tropgw.identities import (brackets_by_recursion, expected_gamma_mu_weight,
-                               partition_identity_holds)
+                               gamma_mu, partition_identity_holds)
 from tropgw.invariants import (CountRequest, absolute_invariant, cp3_fan,
                                derive_line_factor, p1_cubed_fan, weighted_count)
 from tropgw.lattice import (INFINITE, IntMatrix, determinant, lattice_index)
@@ -30,13 +30,6 @@ def single_vertex(*ends):
 
 def wedge_vertex(n):
     return single_vertex((1, 0, 0), (0, n, 0), (-1, -n, 0))
-
-
-def gamma_mu(n, mu):
-    ies = [(0, 1, (0, 0, m)) for m in mu]
-    ees = [(1, (1, 0, 0), 1), (0, (0, 1, 0), 2),
-           (1, (-1, 0, n), 3), (0, (0, -1, -n), 4)]
-    return CurveType.make([0, 1], ies, ees)
 
 
 def partitions(n):

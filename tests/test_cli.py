@@ -114,6 +114,16 @@ class TestToricCommands:
                            "--degrees", "1,2", "--points", "2")
         assert code == 2
 
+    def test_float_rays_are_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "cp3.json").read_text())
+        doc["rays"] = [[float(x) for x in r] for r in doc["rays"]]
+        f = tmp_path / "cp3_float.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "absolute", str(f),
+                           "--degrees", "1", "--points", "2")
+        assert code == 2
+        assert "rays must be lists of integers" in err
+
 
 class TestEnumerate:
     def test_lists_types(self, capsys):

@@ -1,10 +1,14 @@
+import ast
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import Matrix, Rational
+from sympy import ZZ, Matrix, Rational
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
+import tropgw
 from tropgw.lattice import (
     INFINITE,
     IntMatrix,
@@ -316,3 +320,17 @@ class TestAgainstSympy:
     @given(_matrices(entries=st.integers(-5, 5), square=True))
     def test_determinant_matches(self, rows):
         assert determinant(IntMatrix.from_rows(rows)) == _sym(rows).det()
+
+    @given(_matrices(entries=st.integers(-6, 6)))
+    def test_smith_normal_form_matches(self, rows):
+        d, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
+        want = sympy_smith_normal_form(Matrix(rows), domain=ZZ)
+        k = min(len(rows), len(rows[0]))
+        assert [d.entries[i][i] for i in range(k)] == [abs(want[i, i]) for i in range(k)]
+
+
+def test_package_has_no_bare_assert():
+    # internal invariants raise InvariantError: python -O strips asserts
+    for f in sorted(Path(tropgw.__file__).parent.rglob("*.py")):
+        tree = ast.parse(f.read_text(), filename=str(f))
+        assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), f.name

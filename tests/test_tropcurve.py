@@ -1,8 +1,12 @@
 import random
+from collections import Counter
+from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tropgw.identities import gamma_mu
 from tropgw.lattice import IntMatrix, rational_rank
 from tropgw.tropcurve import (
     CurveType,
@@ -24,13 +28,6 @@ from tropgw.tropcurve import (
 
 def single_vertex(*ends):
     return CurveType.make([0], (), [(0, d, i + 1) for i, d in enumerate(ends)])
-
-
-def gamma_mu(n, mu):
-    ies = [(0, 1, (0, 0, m)) for m in mu]
-    ees = [(1, (1, 0, 0), 1), (0, (0, 1, 0), 2),
-           (1, (-1, 0, n), 3), (0, (0, -1, -n), 4)]
-    return CurveType.make([0, 1], ies, ees)
 
 
 FOUR_END = CurveType.make(
@@ -309,3 +306,120 @@ class TestIsomorphism:
 
     def test_distinct_types(self):
         assert not are_isomorphic(gamma_mu(2, (1, 1)), gamma_mu(2, (2,)))
+
+
+# -- canonical form against brute force ---------------------------------------
+
+_DIRS = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 2)]
+
+
+def _neg(d):
+    return tuple(-x for x in d)
+
+
+def _random_symmetric_type(rng, max_vertices=6, n_dirs=len(_DIRS)):
+    """A random connected type built mostly from balanced cycles, so that many
+    vertices carry no end and vertex symmetries are common."""
+    n = rng.randint(1, max_vertices)
+    dirs = _DIRS[:n_dirs]
+    cycles = []
+    if n >= 2:
+        cycles.append(list(range(n)))
+        cycles += [rng.sample(range(n), rng.randint(2, n))
+                   for _ in range(rng.randint(0, 2))]
+    ies = []
+    for cyc in cycles:
+        d = rng.choice(dirs)
+        ies += [(cyc[i], cyc[(i + 1) % len(cyc)], d) for i in range(len(cyc))]
+    if n >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(range(n), 2)
+        ies.append((a, b, rng.choice(dirs)))
+    bal = {v: [0, 0, 0] for v in range(n)}
+    for a, b, d in ies:
+        for c in range(3):
+            bal[a][c] += d[c]
+            bal[b][c] -= d[c]
+    ends = [(v, _neg(r)) for v, r in bal.items() if r != [0, 0, 0]]
+    d = rng.choice(dirs)
+    for v in (range(n) if rng.random() < 0.5 else [rng.randrange(n)]):
+        ends += [(v, d), (v, _neg(d))]
+    labels = rng.sample(range(1, len(ends) + 1), len(ends))
+    return CurveType.make(range(n), ies,
+                          [(v, d, l) for (v, d), l in zip(ends, labels)])
+
+
+def _scramble(t, rng):
+    """t with its vertices renamed, edges flipped at random, and its vertices,
+    edges and ends reordered."""
+    new = rng.sample(range(10, 10 + 3 * t.n_vertices), t.n_vertices)
+    m = dict(zip(t.vertices, new))
+    ies = [(m[b], m[a], _neg(d)) if rng.random() < 0.5 else (m[a], m[b], d)
+           for a, b, d in t.internal_edges]
+    rng.shuffle(ies)
+    ees = [(m[v], d, l) for v, d, l in t.external_edges]
+    rng.shuffle(ees)
+    return CurveType.make(new, ies, ees)
+
+
+def _image(t, sigma):
+    return (Counter(min((sigma[a], sigma[b], d), (sigma[b], sigma[a], _neg(d)))
+                    for a, b, d in t.internal_edges),
+            Counter((sigma[v], d, l) for v, d, l in t.external_edges))
+
+
+def _brute_isomorphisms(t1, t2):
+    """Vertex bijections t1 -> t2 carrying edges (up to flips) and labeled
+    ends onto each other, found by trying every permutation."""
+    if t1.n_vertices != t2.n_vertices:
+        return 0
+    target = _image(t2, {v: v for v in t2.vertices})
+    return sum(1 for p in permutations(t2.vertices)
+               if _image(t1, dict(zip(t1.vertices, p))) == target)
+
+
+def _brute_automorphisms(t):
+    count = _brute_isomorphisms(t, t)
+    for c in _image(t, {v: v for v in t.vertices})[0].values():
+        count *= factorial(c)
+    return count
+
+
+class TestCanonicalFormOracle:
+    @given(st.randoms(use_true_random=False))
+    def test_automorphisms_match_brute_force(self, rng):
+        t = _random_symmetric_type(rng)
+        assert automorphism_count(t) == _brute_automorphisms(t)
+
+    @given(st.randoms(use_true_random=False))
+    def test_isomorphism_matches_brute_force(self, rng):
+        # permuting the labels of ends with equal derivatives gives a copy
+        # that is isomorphic exactly when some symmetry of the unlabeled
+        # curve realizes the permutation
+        t1 = _random_symmetric_type(rng)
+        by_d = {}
+        for _, d, l in t1.external_edges:
+            by_d.setdefault(d, []).append(l)
+        perm = {}
+        for ls in by_d.values():
+            perm.update(zip(ls, rng.sample(ls, len(ls))))
+        t2 = _scramble(CurveType.make(t1.vertices, t1.internal_edges, [
+            (v, d, perm[l]) for v, d, l in t1.external_edges]), rng)
+        assert are_isomorphic(t1, t2) == (_brute_isomorphisms(t1, t2) > 0)
+
+    @given(st.randoms(use_true_random=False))
+    def test_key_invariant_under_renaming_flips_and_reordering(self, rng):
+        t = _random_symmetric_type(rng)
+        s = _scramble(t, rng)
+        assert s.canonical_key() == t.canonical_key()
+        assert automorphism_count(s) == automorphism_count(t)
+
+    def test_renamed_seven_cycle(self):
+        # seven end-free vertices in one colour class: the key may not depend
+        # on vertex ids
+        d = (1, 0, 0)
+        cycle = CurveType.make(range(7), [(i, (i + 1) % 7, d) for i in range(7)], ())
+        renamed = CurveType.make(
+            range(7), [(3 * i % 7, 3 * (i + 1) % 7, d) for i in range(7)], ())
+        assert renamed.canonical_key() == cycle.canonical_key()
+        assert are_isomorphic(cycle, renamed)
+        assert automorphism_count(cycle) == 7

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tropgw.exactnum import (LaurentSeries, QHalfLaurent, normalized_sin_half,
                              q_to_lambda, quantum_integer_q, two_sin_half)
+from tropgw.identities import gamma_mu
 from tropgw.lattice import IntMatrix
 from tropgw.tropcurve import CurveType, genus
 from tropgw.weights import (
@@ -24,13 +25,6 @@ K = 20
 
 def single_vertex(*ends):
     return CurveType.make([0], (), [(0, d, i + 1) for i, d in enumerate(ends)])
-
-
-def gamma_mu(n, mu):
-    ies = [(0, 1, (0, 0, m)) for m in mu]
-    ees = [(1, (1, 0, 0), 1), (0, (0, 1, 0), 2),
-           (1, (-1, 0, n), 3), (0, (0, -1, -n), 4)]
-    return CurveType.make([0, 1], ies, ees)
 
 
 def lcm(xs):
