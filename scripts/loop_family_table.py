@@ -10,21 +10,10 @@ coefficients and a match flag per partition.
 import argparse
 import time
 
-from tropgw.enumeration import SearchBounds, enumerate_curve_types
+from tropgw.enumeration import SearchBounds, _partitions, enumerate_curve_types
 from tropgw.identities import expected_gamma_mu_weight, gamma_mu
 from tropgw.tropcurve import are_isomorphic
 from tropgw.weights import curve_weight
-
-
-def partitions(n):
-    def rec(rest, mx):
-        if rest == 0:
-            yield ()
-            return
-        for p in range(min(rest, mx), 0, -1):
-            for tail in rec(rest - p, p):
-                yield (p,) + tail
-    yield from rec(n, n)
 
 
 def main():
@@ -38,7 +27,7 @@ def main():
     for total in range(1, args.max_total + 1):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, total), (0, -1, -total)]
         types = enumerate_curve_types(ends, bounds)
-        for mu in partitions(total):
+        for mu in _partitions(total):
             t0 = time.time()
             target = gamma_mu(total, mu)
             match = [t for t in types if are_isomorphic(t, target)]

@@ -40,7 +40,9 @@ def _load_json(path: str) -> dict:
         raise ParseFailure(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    if isinstance(data, dict) and data.get("schema", 1) != 1:
+    if not isinstance(data, dict):
+        raise ParseFailure(f"{path}: expected a JSON object at the top level")
+    if data.get("schema", 1) != 1:
         raise ParseFailure(f"{path}: unsupported schema {data.get('schema')}")
     return data
 
@@ -107,7 +109,7 @@ def cmd_fgamma(args) -> int:
     w = curve_weight(t, args.order, args.mode, args.seed)
     extra = None
     if args.trace:
-        extra = {"derivation": weight_trace(t, args.order, args.mode, args.seed)}
+        extra = {"derivation": weight_trace(t, args.seed)}
     return _emit_value(w, args, extra=extra)
 
 

@@ -21,13 +21,16 @@ from .lattice import (
     InvariantError,
     primitive_part,
     quotient_projection,
+    rational_rank,
     saturation,
     solve_rational,
+    wedge_index,
 )
 from .tropcurve import (
     CurveType,
     IntVec3,
     PlacedCurve,
+    _vec3,
     edge_equation_matrix,
     evaluation_layout,
     evaluation_matrix,
@@ -85,7 +88,6 @@ class ConstraintCycle:
     strata: tuple[Stratum, ...]
 
     def __post_init__(self):
-        from .lattice import rational_rank
         for s in self.strata:
             if len(s.base) != self.ambient_dim or s.span.rows != self.ambient_dim:
                 raise ValueError("stratum does not match the ambient dimension")
@@ -184,23 +186,14 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
                 base.extend([Fraction(0)] * 2)
                 push_cols([(1, 0), (0, 1)], off)
             elif con[0] == "point":
-                img = proj.mul_vec(tuple(int(x) for x in con[1])) \
-                    if all(Fraction(x).denominator == 1 for x in con[1]) else None
-                if img is None:
-                    fr = [Fraction(x) for x in con[1]]
-                    img = tuple(sum(Fraction(proj.entries[r][c]) * fr[c]
-                                    for c in range(3)) for r in range(2))
-                base.extend(Fraction(x) for x in img)
+                base.extend(proj.mul_vec([Fraction(x) for x in con[1]]))
             elif con[0] == "plane":
                 _, coord, value = con
                 if d[coord] != 0:
                     raise ValueError(
                         f"plane x_{coord}={value} does not constrain an end of derivative {d}")
-                pt = tuple(value if i == coord else 0 for i in range(3))
-                fr = [Fraction(x) for x in pt]
-                img = tuple(sum(Fraction(proj.entries[r][c]) * fr[c]
-                                for c in range(3)) for r in range(2))
-                base.extend(img)
+                base.extend(proj.mul_vec([Fraction(value if i == coord else 0)
+                                          for i in range(3)]))
                 dirs = [tuple(proj.entries[r][j] for r in range(2))
                         for j in range(3) if j != coord]
                 sat = saturation([c for c in dirs if any(c)], 2)
@@ -218,7 +211,6 @@ def constrained_labels(ends: Sequence[IntVec3], cycle: ConstraintCycle) -> set[i
     for label, off, size in layout.blocks:
         for s in cycle.strata:
             block_rows = [[c[off + i] for c in s.span.columns()] for i in range(size)]
-            from .lattice import rational_rank
             if rational_rank(block_rows) < size:
                 out.add(label)
                 break
@@ -298,7 +290,6 @@ def _cheap_reject(t: CurveType) -> bool:
         inc = [d for _, _, d in t.incident(v)]
         nz = [d for d in inc if d != (0, 0, 0)]
         if len(nz) == len(inc) and len(nz) >= 2:
-            from .lattice import wedge_index
             if all(wedge_index(nz[0], d) == 0 for d in nz[1:]):
                 # a colinear vertex is only acceptable when the whole curve is
                 # a point; that case has no nonzero derivatives at all
@@ -412,7 +403,7 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
 
     The list is complete within the bounds and deterministically ordered.
     """
-    ends = [tuple(int(x) for x in e) for e in ends]
+    ends = [_vec3(e) for e in ends]
     total = tuple(sum(e[c] for e in ends) for c in range(3))
     if total != (0, 0, 0):
         raise ValueError(f"ends do not balance: total {total}")

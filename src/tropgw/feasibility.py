@@ -86,46 +86,15 @@ def cone_meets_cone(gens_a: Sequence[Sequence[int]],
                     gens_b: Sequence[Sequence[int]]) -> bool:
     """Whether cone(gens_a) and cone(gens_b) share a nonzero point.
 
-    Works for arbitrary (possibly dependent) generators: asks, coordinate by
-    coordinate, for a common point with that coordinate equal to +-1.
+    Works for arbitrary (possibly dependent) generators.  One elimination on
+    the rows a_1..a_na, -b_1..-b_nb returns generators c of the cone of
+    nonnegative c with sum_i c_i a_i = sum_j c_(na+j) b_j; the shared point
+    sum_i c_i a_i is linear in c, so it is nonzero somewhere on that cone iff
+    it is nonzero on some generator.
     """
     if not gens_a or not gens_b:
         return False
-    dim = len(gens_a[0])
-    na, nb = len(gens_a), len(gens_b)
-    # variables: a_1..a_na, b_1..b_nb  (all >= 0)
-    # equalities: sum a_i g_i - sum b_j h_j = 0
-    for coord in range(dim):
-        for sign in (1, -1):
-            # feasibility with the shared point's coordinate fixed to sign
-            rows = []
-            rhs = []
-            for d in range(dim):
-                row = [g[d] for g in gens_a] + [-h[d] for h in gens_b]
-                rows.append(row)
-                rhs.append(0)
-            fix = [g[coord] for g in gens_a] + [0] * nb
-            if _feasible_eq_nonneg(rows, rhs, fix, sign):
-                return True
-    return False
-
-
-def _feasible_eq_nonneg(eq_rows, eq_rhs, fix_row, fix_val) -> bool:
-    """Feasibility of {x >= 0, eq_rows x = eq_rhs, fix_row x = fix_val}."""
-    n = len(fix_row)
-    ineqs = []  # rows of B for B x >= r
-    rhs = []
-    for row, b in list(zip(eq_rows, eq_rhs)) + [(fix_row, fix_val)]:
-        ineqs.append(list(row))
-        rhs.append(b)
-        ineqs.append([-x for x in row])
-        rhs.append(-b)
-    for i in range(n):
-        ineqs.append([1 if j == i else 0 for j in range(n)])
-        rhs.append(0)
-    conds = positive_combinations(ineqs)
-    for c in conds:
-        val = sum(Fraction(a) * Fraction(b) for a, b in zip(c, rhs))
-        if val > 0:
-            return False
-    return True
+    rows = list(gens_a) + [[-x for x in h] for h in gens_b]
+    return any(any(sum(ci * g[d] for ci, g in zip(c, gens_a))
+                   for d in range(len(gens_a[0])))
+               for c in positive_combinations(rows))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .exactnum import LaurentSeries, QHalfLaurent
@@ -59,10 +59,9 @@ class ToricFan:
                 raise ValueError("cones must have 1 to 3 rays")
             if any(i < 0 or i >= len(self.rays) for i in c):
                 raise ValueError("cone refers to a missing ray")
-            for i in c:
-                for sub in _faces(tuple(sorted(c))):
-                    if sub and sub not in cone_set:
-                        raise ValueError(f"cones not closed under faces: missing {sub}")
+            for sub in _faces(tuple(sorted(c))):
+                if sub not in cone_set:
+                    raise ValueError(f"cones not closed under faces: missing {sub}")
         if any(i < 0 or i >= len(self.rays) for i in self.special):
             raise ValueError("special ray index out of range")
 
@@ -91,9 +90,12 @@ class ToricFan:
 
     @staticmethod
     def from_json(d: dict) -> "ToricFan":
+        special = d.get("special_rays", [])
+        if not isinstance(special, list) or not all(type(i) is int for i in special):
+            raise ValueError("special_rays must be a list of integers")
         return ToricFan(_int_tuples(d["rays"], "rays"),
                         _int_tuples(d["cones"], "cones"),
-                        frozenset(d.get("special_rays", ())))
+                        frozenset(special))
 
 
 def _int_tuples(items, what: str):
@@ -110,28 +112,24 @@ def _faces(c: tuple[int, ...]):
         yield tuple(c[i] for i in range(n) if mask >> i & 1)
 
 
-def is_convex(fan: ToricFan) -> bool:
-    """No fan stratum meets the non-negative span of the remaining rays."""
-    for c in fan.cones:
+def _no_cone_meets_the_rest(fan: ToricFan, cones) -> bool:
+    """No listed cone meets the non-negative span of the rays outside it."""
+    for c in cones:
         others = [fan.rays[i] for i in range(len(fan.rays)) if i not in c]
-        if not others:
-            continue
-        if cone_meets_cone([fan.rays[i] for i in c], others):
+        if others and cone_meets_cone([fan.rays[i] for i in c], others):
             return False
     return True
+
+
+def is_convex(fan: ToricFan) -> bool:
+    """No fan stratum meets the non-negative span of the remaining rays."""
+    return _no_cone_meets_the_rest(fan, fan.cones)
 
 
 def is_convex_relative(fan: ToricFan) -> bool:
     """The convexity test restricted to strata containing a special ray."""
-    for c in fan.cones:
-        if not any(i in fan.special for i in c):
-            continue
-        others = [fan.rays[i] for i in range(len(fan.rays)) if i not in c]
-        if not others:
-            continue
-        if cone_meets_cone([fan.rays[i] for i in c], others):
-            return False
-    return True
+    return _no_cone_meets_the_rest(
+        fan, [c for c in fan.cones if fan.special.intersection(c)])
 
 
 # -- weighted counts ------------------------------------------------------------
@@ -274,22 +272,37 @@ def _seeded_point(seed: int, which: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(rng.randint(-500, 500), primes[c]) for c in range(3))
 
 
-def _degree_ends(fan: ToricFan, degrees: Sequence[int]):
+def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int):
+    """The ends of a degree class, d_i copies of ray i, followed by one marker
+    end per point, and the seeded point constraints on the markers."""
     if len(degrees) != len(fan.rays):
         raise ValueError("one degree per ray required")
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be non-negative")
     if all(d == 0 for d in degrees):
         raise ValueError("the zero class is excluded")
-    total = (0, 0, 0)
-    ends = []
-    for i, d in enumerate(degrees):
-        for _ in range(d):
-            ends.append(fan.rays[i])
-        total = tuple(a + d * b for a, b in zip(total, fan.rays[i]))
+    ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
+    total = tuple(sum(e[c] for e in ends) for c in range(3))
     if total != (0, 0, 0):
         raise ValueError(f"degrees do not balance: {total}")
-    return ends
+    constraints = {len(ends) + j + 1: ("point", _seeded_point(seed, j))
+                   for j in range(points)}
+    return ends + [(0, 0, 0)] * points, constraints
+
+
+def _toric_count(degrees: Sequence[int], ends, constraints: dict[int, tuple],
+                 connected: bool, mode: str, order: int, seed: int,
+                 bounds: SearchBounds):
+    """The weighted count of the constrained ends with the per-ray
+    normalization: one power of the series variable (q^(1/2) in q mode) per
+    boundary intersection removed, and a factor 1/d! per ray."""
+    cycle = cycle_from_constraints(ends, constraints)
+    req = CountRequest(tuple(ends), cycle, connected, mode, bounds)
+    value = weighted_count(req, order, seed).value
+    scale = Fraction(1, prod(factorial(d) for d in degrees))
+    if mode == "q":
+        return value * QHalfLaurent.monomial(scale, sum(degrees))
+    return value.shift(-sum(degrees)).scale(scale)
 
 
 def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
@@ -303,19 +316,9 @@ def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
     """
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
-    ends = _degree_ends(fan, degrees)
-    nd = len(ends)
-    ends = ends + [(0, 0, 0)] * points
-    constraints = {nd + j + 1: ("point", _seeded_point(seed, j))
-                   for j in range(points)}
-    cycle = cycle_from_constraints(ends, constraints)
-    req = CountRequest(tuple(ends), cycle, True, "lambda", bounds)
-    res = weighted_count(req, order, seed)
-    out = res.value.shift(-sum(degrees))
-    scale = Fraction(1)
-    for d in degrees:
-        scale /= factorial(d)
-    return out.scale(scale)
+    ends, constraints = _degree_ends(fan, degrees, points, seed)
+    return _toric_count(degrees, ends, constraints, True, "lambda", order,
+                        seed, bounds)
 
 
 def relative_invariant(fan: ToricFan, degrees: Sequence[int],
@@ -333,24 +336,19 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     """
     if not is_convex_relative(fan):
         raise ValueError("fan fails the relative convexity requirement")
+    if len(degrees) != len(fan.rays):
+        raise ValueError("one degree per ray required")
     for i, d in enumerate(degrees):
         if d > 0 and i not in fan.special:
             raise ValueError("positive degree on a non-special ray")
-    special_ends = []
+    ends = list(alpha_ends)
     for i, d in enumerate(degrees):
-        special_ends.extend([fan.rays[i]] * d)
-    ends = list(alpha_ends) + special_ends
+        ends.extend([fan.rays[i]] * d)
     total = tuple(sum(e[c] for e in ends) for c in range(3))
     if total != (0, 0, 0):
         raise ValueError(f"ends with degrees do not balance: {total}")
-    cycle = cycle_from_constraints(ends, constraints)
-    req = CountRequest(tuple(ends), cycle, True, "lambda", bounds)
-    res = weighted_count(req, order, seed)
-    out = res.value.shift(-sum(degrees))
-    scale = Fraction(1)
-    for d in degrees:
-        scale /= factorial(d)
-    return out.scale(scale)
+    return _toric_count(degrees, ends, constraints, True, "lambda", order,
+                        seed, bounds)
 
 
 def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
@@ -360,18 +358,9 @@ def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
     disconnected curves with no end-free components, times q^(d/2)/d! per ray."""
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
-    ends = _degree_ends(fan, degrees)
-    nd = len(ends)
-    ends = ends + [(0, 0, 0)] * points
-    constraints = {nd + j + 1: ("point", _seeded_point(seed, j))
-                   for j in range(points)}
-    cycle = cycle_from_constraints(ends, constraints)
-    req = CountRequest(tuple(ends), cycle, False, "q", bounds)
-    res = weighted_count(req, order, seed)
-    scale = Fraction(1)
-    for d in degrees:
-        scale /= factorial(d)
-    return res.value * QHalfLaurent.monomial(scale, sum(degrees))
+    ends, constraints = _degree_ends(fan, degrees, points, seed)
+    return _toric_count(degrees, ends, constraints, False, "q", order, seed,
+                        bounds)
 
 
 def derive_line_factor(order: int = 20, seed: int = 0) -> LaurentSeries:
@@ -382,10 +371,8 @@ def derive_line_factor(order: int = 20, seed: int = 0) -> LaurentSeries:
     degrees = [0] * 6
     degrees[_ray_index(fan, (1, 0, 0))] = 1
     degrees[_ray_index(fan, (-1, 0, 0))] = 1
-    ends = _degree_ends(fan, degrees) + [(0, 0, 0)]
-    cycle = cycle_from_constraints(ends, {3: ("point", _seeded_point(seed, 0))})
-    req = CountRequest(tuple(ends), cycle, True, "lambda", SearchBounds())
-    w = weighted_count(req, order, seed).value
+    # W is the bare count: undo the normalization by x^2 (1/1!^2 is 1)
+    w = absolute_invariant(fan, degrees, 1, order, seed).shift(2)
     known = LaurentSeries.monomial(1, -1, order)
     ratio = known * w.inverse()
     # the ratio must be an even monomial; its square root is the factor

@@ -39,10 +39,9 @@ IntVec3 = tuple[int, int, int]
 
 
 def _vec3(v: Sequence[int]) -> IntVec3:
-    t = tuple(int(x) for x in v)
-    if len(t) != 3:
-        raise ValueError("derivatives live in Z^3")
-    return t
+    if len(v) != 3 or not all(type(x) is int for x in v):
+        raise ValueError(f"derivatives live in Z^3, got {v!r}")
+    return tuple(v)
 
 
 class UnbalancedCurve(ValueError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
 from typing import Sequence
 
@@ -173,14 +174,13 @@ def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resol
     replacement length strictly positive.
     """
     stars = {v: vertex_star(t, v) for v in t.vertices}
-    # candidate lists, grouped modulo derivative-preserving relabeling
-    groups: dict[int, list] = {}
-    for vi, v in enumerate(t.vertices):
+    # candidate lists per vertex, grouped modulo derivative-preserving relabeling
+    groups = []
+    for v in t.vertices:
         star = stars[v]
-        cands = enumerate_curve_types(
+        groups.append(_group_by_relabeling(enumerate_curve_types(
             [d for _, d, _ in star.star.external_edges],
-            _replacement_bounds(len(star.edge_refs), repl_genus))
-        groups[vi] = _group_by_relabeling(cands)
+            _replacement_bounds(len(star.edge_refs), repl_genus))))
 
     # star label of each edge end at its vertex
     label_at = {}
@@ -192,32 +192,18 @@ def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resol
     solver = _ResolutionSolver(t, vidx, label_at)
     pshifts = solver.projected_shifts(shifts)
     out = []
-
-    def assignments(groups_list):
-        if not groups_list:
-            yield ()
-            return
-        head, *rest = groups_list
-        for choice in head:
-            for tail in assignments(rest):
-                yield (choice,) + tail
-
-    group_lists = [groups[vi] for vi in range(len(t.vertices))]
-    for assign in assignments(group_lists):
-        reps = tuple(a[0] for a in assign)
-        invs = tuple(a[3] for a in assign)
-        status = solver.classify(reps, invs, pshifts)
-        if status == "solvable":
-            out.append(Resolution(tuple(a[1] for a in assign), solver.last_index))
-        elif status == "nongeneric":
-            raise NonGenericShift("shift assignment is not generic for this curve")
+    for assign in product(*groups):
+        reps, cands, invs = zip(*assign)
+        index = solver.classify(reps, invs, pshifts)
+        if index is not None:
+            out.append(Resolution(cands, index))
     return out
 
 
 def _group_by_relabeling(cands: list[CurveType]):
-    """Return [(rep, candidate, perm, inv)] where perm relabels rep's ends to
-    the candidate's (identity on derivatives) and inv[cand_label - 1] is the
-    rep label; reps are shared across the group.
+    """Return [(rep, candidate, inv)] where inv[cand_label - 1] is the rep
+    label of the same end (relabeling is the identity on derivatives); reps
+    are shared across the group.
 
     Candidates are grouped by their label-free canonical key.  Composing the
     two canonical vertex orders maps rep onto the candidate; the label
@@ -229,27 +215,18 @@ def _group_by_relabeling(cands: list[CurveType]):
         key, order, _ = _canonical_form(c, labeled=False)
         if key not in reps:
             reps[key] = (c, order)
-            perm = tuple(range(1, c.n_ends + 1))
-            out.append((c, c, perm, perm))
+            out.append((c, c, tuple(range(1, c.n_ends + 1))))
             continue
         r, rorder = reps[key]
         sigma = dict(zip(rorder, order))
         labels: dict = {}
         for v, d, l in sorted(c.external_edges, key=lambda e: e[2]):
             labels.setdefault((v, d), []).append(l)
-        perm = [0] * r.n_ends
+        inv = [0] * r.n_ends
         for v, d, l in sorted(r.external_edges, key=lambda e: e[2]):
-            perm[l - 1] = labels[(sigma[v], d)].pop(0)
-        perm = tuple(perm)
-        out.append((r, c, perm, _invert_perm(perm)))
+            inv[labels[(sigma[v], d)].pop(0) - 1] = l
+        out.append((r, c, tuple(inv)))
     return out
-
-
-def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p - 1] = i + 1
-    return tuple(inv)
 
 
 class _ResolutionSolver:
@@ -282,7 +259,6 @@ class _ResolutionSolver:
             ai, bi = vidx[a], vidx[b]
             self.edge_info.append((ai, bi, label_at[(ai, ("tail", ei))],
                                    label_at[(bi, ("head", ei))], d))
-        self.last_index = None
 
     def _wiring(self, invs):
         """Per edge: (tail vertex, head vertex, tail slot, head slot, d) with
@@ -294,7 +270,9 @@ class _ResolutionSolver:
         return [self.proj[d].mul_vec(shifts[ei])
                 for ei, (_, _, d) in enumerate(self.t.internal_edges)]
 
-    def classify(self, reps, invs, pshifts) -> str:
+    def classify(self, reps, invs, pshifts) -> int | None:
+        """The lattice index of a solvable assignment, None for a discard;
+        raises NonGenericShift when it is solvable but not transversely."""
         wires = self._wiring(invs)
         order = sorted(range(len(wires)), key=lambda i: wires[i])
         key = (tuple(id(r) for r in reps), tuple(wires[i] for i in order))
@@ -313,8 +291,9 @@ class _ResolutionSolver:
                     "rank-deficient system must have left null vectors")
             if all(sum(a * s for a, s in zip(row, shift_vec)) == 0
                    for row in null_rows):
-                return "nongeneric"  # solvable but not transversely
-            return "discard"
+                raise NonGenericShift(
+                    "shift assignment is not generic for this curve")
+            return None
         g_rows = entry[2]
         saw_zero = False
         for row in g_rows:
@@ -323,15 +302,14 @@ class _ResolutionSolver:
                 if a:
                     v += a * s
             if v < 0:
-                return "discard"
+                return None
             if v == 0:
                 saw_zero = True
         if saw_zero:
-            return "nongeneric"
+            raise NonGenericShift("shift assignment is not generic for this curve")
         if entry[1] is None:
             entry[1] = self._full_index(reps, [wires[i] for i in order])
-        self.last_index = entry[1]
-        return "solvable"
+        return entry[1]
 
     def _rep_data(self, reps):
         dims, kerns, length_rows = [], [], []
@@ -518,8 +496,7 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,
     return total
 
 
-def weight_trace(t: CurveType, order: int, mode: str, seed: int = 0,
-                 repl_genus: int = 0) -> dict:
+def weight_trace(t: CurveType, seed: int = 0, repl_genus: int = 0) -> dict:
     """Derivation record of curve_weight: the resolution tree with indices.
 
     Mirrors the recursion without recomputing anything (values come from the
@@ -531,7 +508,7 @@ def weight_trace(t: CurveType, order: int, mode: str, seed: int = 0,
     comps = t.component_types()
     if len(comps) > 1:
         node["kind"] = "disconnected"
-        node["components"] = [weight_trace(c, order, mode, seed, repl_genus)
+        node["components"] = [weight_trace(c, seed, repl_genus)
                               for c in comps]
         return node
     if is_transverse(t):
@@ -550,7 +527,7 @@ def weight_trace(t: CurveType, order: int, mode: str, seed: int = 0,
         node["resolutions"].append({
             "index": r.index,
             "vertex_automorphisms": [automorphism_count(p) for p in r.vertex_types],
-            "vertex_curves": [weight_trace(p, order, mode, seed, repl_genus)
+            "vertex_curves": [weight_trace(p, seed, repl_genus)
                               for p in r.vertex_types],
         })
     return node

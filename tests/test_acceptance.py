@@ -8,7 +8,8 @@ Criterion 9 reruns the seed-consuming criteria across five seeds.
 import random
 from math import gcd
 
-from tropgw.enumeration import SearchBounds, cycle_from_constraints, enumerate_curve_types
+from tropgw.enumeration import (SearchBounds, _partitions, cycle_from_constraints,
+                                 enumerate_curve_types)
 from tropgw.exactnum import LaurentSeries, normalized_sin_half, two_sin_half
 from tropgw.identities import (brackets_by_recursion, expected_gamma_mu_weight,
                                gamma_mu, partition_identity_holds)
@@ -30,17 +31,6 @@ def single_vertex(*ends):
 
 def wedge_vertex(n):
     return single_vertex((1, 0, 0), (0, n, 0), (-1, -n, 0))
-
-
-def partitions(n):
-    def rec(rest, mx):
-        if rest == 0:
-            yield ()
-            return
-        for p in range(min(rest, mx), 0, -1):
-            for tail in rec(rest - p, p):
-                yield (p,) + tail
-    yield from rec(n, n)
 
 
 def family3_ends(n):
@@ -68,7 +58,7 @@ def criterion_3_pipeline_values(seed):
     for total in range(1, 7):
         ends = family3_ends(total)
         types = enumerate_curve_types(ends, BOUNDS)
-        for mu in partitions(total):
+        for mu in _partitions(total):
             target = gamma_mu(total, mu)
             found = [t for t in types if are_isomorphic(t, target)]
             assert len(found) == 1, (mu, len(found))
@@ -123,7 +113,7 @@ def corpus_for_dt():
     corpus = [wedge_vertex(n) for n in range(1, 13)]
     corpus.append(single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0)))
     for total in range(1, 7):
-        for mu in partitions(total):
+        for mu in _partitions(total):
             corpus.append(gamma_mu(total, mu))
     for ends, _ in (FAMILY1, family2(1, 1), family2(2, 1), family3_configs(2)):
         corpus.extend(enumerate_curve_types(ends, BOUNDS))

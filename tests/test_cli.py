@@ -44,6 +44,16 @@ class TestFgamma:
         assert code == 2
         assert "bad.json:1" in err
 
+    def test_non_integral_derivative_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "vertex_wedge1.json").read_text())
+        doc["external_edges"][0]["derivative"] = [1.5, 0, 0]
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "fgamma", str(f))
+        assert code == 2
+        assert out == ""
+        assert "Z^3" in err
+
     def test_unsupported_vertex_is_exit_4(self, tmp_path, capsys):
         doc = {"vertices": [0], "internal_edges": [],
                "external_edges": [
@@ -133,6 +143,52 @@ class TestEnumerate:
         doc = json.loads(out)
         assert doc["count"] == 4
         assert len(doc["types"]) == 4
+
+    def test_non_integral_ends_are_exit_2(self, tmp_path, capsys):
+        # truncating 1.5 to 1 would enumerate the types of other ends
+        f = tmp_path / "half.json"
+        f.write_text(json.dumps(
+            {"ends": [[1.5, 0, 0], [0, 1, 0], [-1.5, 0, 2], [0, -1, -2]]}))
+        code, out, err = run(capsys, "enumerate", str(f))
+        assert code == 2
+        assert out == ""
+        assert "Z^3" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ("absolute", "--degrees", "1"),
+        ("dt", "--degrees", "1"),
+        ("count",),
+        ("fgamma",),
+        ("enumerate",),
+        ("relative",),
+    ])
+    def test_top_level_list_is_exit_2(self, tmp_path, capsys, argv):
+        f = tmp_path / "list.json"
+        f.write_text("[1, 2]")
+        code, _, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert code == 2
+        assert "expected a JSON object" in err
+
+    def test_relative_degree_count_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["degrees"].append(0)
+        f = tmp_path / "relative_extra_degree.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert "one degree per ray required" in err
+
+    def test_non_integer_special_rays_are_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "cp3.json").read_text())
+        doc["special_rays"] = ["a"]
+        f = tmp_path / "cp3_special.json"
+        f.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "absolute", str(f),
+                           "--degrees", "1", "--points", "2")
+        assert code == 2
+        assert "special_rays must be a list of integers" in err
 
 
 class TestVerifyIdentities:

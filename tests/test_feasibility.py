@@ -1,8 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
-from sympy import Rational, symbols
+from hypothesis import example, given, settings, strategies as st
+from sympy import Eq, Rational, symbols, true
 from sympy.solvers.simplex import lpmax
 
 from tropgw.feasibility import (
@@ -82,3 +82,38 @@ def test_feasible_strict_matches_exact_lp(system):
             >= Rational(c.numerator, c.denominator) for row, c in zip(b, r)]
     best, _ = lpmax(t, cons + [t <= 1])
     assert feasible_strict(b, r) == (best > 0)
+
+
+@st.composite
+def _cone_pairs(draw):
+    dim = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    return (draw(st.lists(vec, min_size=1, max_size=3)),
+            draw(st.lists(vec, min_size=1, max_size=3)))
+
+
+def _cones_meet_by_lp(gens_a, gens_b):
+    # the cones share a nonzero point iff, for some coordinate d and sign s,
+    # max s (A a)_d subject to a, b >= 0, A a = B b, s (A a)_d <= 1 is > 0
+    a = symbols(f"a0:{len(gens_a)}")
+    b = symbols(f"b0:{len(gens_b)}")
+    point = [sum(x * g[d] for x, g in zip(a, gens_a)) for d in range(len(gens_a[0]))]
+    other = [sum(y * h[d] for y, h in zip(b, gens_b)) for d in range(len(gens_a[0]))]
+    cons = [v >= 0 for v in a + b]
+    cons += [c for c in (Eq(p, q) for p, q in zip(point, other)) if c is not true]
+    for coord in point:
+        for sign in (1, -1):
+            if coord == 0:
+                continue
+            best, _ = lpmax(sign * coord, cons + [sign * coord <= 1])
+            if best > 0:
+                return True
+    return False
+
+
+@settings(max_examples=20, deadline=None)
+@given(_cone_pairs())
+@example(([(2, -1, 1), (1, 2, -1), (0, -1, -1)], [(1, 0, -2)]))
+def test_cone_meets_cone_matches_exact_lp(pair):
+    gens_a, gens_b = pair
+    assert cone_meets_cone(gens_a, gens_b) == _cones_meet_by_lp(gens_a, gens_b)
