@@ -80,7 +80,7 @@ def _emit_value(value, args, extra=None, contributions=None):
     if args.format == "json":
         print(json.dumps(doc, sort_keys=True))
     else:
-        print(_pretty_value(value))
+        print(repr(value))
         if extra:
             for k, v in extra.items():
                 if isinstance(v, dict):
@@ -92,12 +92,8 @@ def _emit_value(value, args, extra=None, contributions=None):
             print(f"{len(contributions)} contributions:")
             for c in contributions:
                 print(f"  stratum {c.stratum_index}: index {c.lattice_factor}, "
-                      f"1/|Aut| = 1/{c.automorphisms}, weight {_pretty_value(c.weight)}")
+                      f"1/|Aut| = 1/{c.automorphisms}, weight {c.weight!r}")
     return 0
-
-
-def _pretty_value(value) -> str:
-    return repr(value)
 
 
 def cmd_fgamma(args) -> int:

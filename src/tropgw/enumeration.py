@@ -317,9 +317,7 @@ def _parallel_splits(t: CurveType, bounds: SearchBounds):
     options = []
     for i, (u, w, d) in enumerate(t.internal_edges):
         p, g = primitive_part(d)
-        opts = []
-        for mu in _partitions(g):
-            opts.append(mu)
+        opts = list(_partitions(g))
         options.append((i, p, opts))
     def rec(idx, acc_edges, extra_genus):
         if extra_genus > bounds.max_genus:

@@ -1,10 +1,13 @@
 """Exact coefficient arithmetic.
 
-Everything downstream works over the rationals: Gaussian rationals, truncated
-Laurent series in one formal variable, and Laurent polynomials in a formal
-half-integer power q^(1/2).  No floats anywhere; truncation orders are tracked
-through every operation so a result never claims more precision than its
-inputs supported.
+Everything downstream works over the rationals: truncated Laurent series in
+one formal variable with rational coefficients, and Laurent polynomials in a
+formal half-integer power q^(1/2) with Gaussian rational coefficients.  The
+imaginary unit lives only on the q side; the substitution
+q^(1/2) = i*exp(i*x/2) reports its imaginary residue separately and returns a
+rational series.  No floats anywhere; truncation orders are tracked through
+every operation so a result never claims more precision than its inputs
+supported.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Union
-
-Rational = Fraction
 
 ScalarLike = Union[int, Fraction, "GaussRational"]
 
@@ -94,10 +95,12 @@ GR_ZERO = GaussRational(Fraction(0), Fraction(0))
 GR_ONE = GaussRational(Fraction(1), Fraction(0))
 GR_I = GaussRational(Fraction(0), Fraction(1))
 _I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class LaurentSeries:
-    """Truncated Laurent series with GaussRational coefficients.
+    """Truncated Laurent series with Fraction coefficients.
 
     ``low`` is the exponent of the first stored coefficient, ``order`` the
     largest exponent about which anything is known.  Coefficients between the
@@ -107,13 +110,13 @@ class LaurentSeries:
 
     __slots__ = ("low", "coeffs", "order")
 
-    def __init__(self, low: int, coeffs: Iterable[ScalarLike], order: int):
-        cs = [GaussRational.of(c) for c in coeffs]
+    def __init__(self, low: int, coeffs: Iterable[int | Fraction], order: int):
+        cs = [_frac(c) for c in coeffs]
         # canonical form: strip leading and trailing zeros
-        while cs and cs[0].is_zero():
+        while cs and not cs[0]:
             cs.pop(0)
             low += 1
-        while cs and cs[-1].is_zero():
+        while cs and not cs[-1]:
             cs.pop()
         if cs and low + len(cs) - 1 > order:
             raise ValueError("coefficients extend past the truncation order")
@@ -134,28 +137,25 @@ class LaurentSeries:
 
     @staticmethod
     def one(order: int) -> "LaurentSeries":
-        return LaurentSeries(0, (GR_ONE,), order)
+        return LaurentSeries(0, (_ONE,), order)
 
     @staticmethod
-    def monomial(coeff: ScalarLike, exponent: int, order: int) -> "LaurentSeries":
-        return LaurentSeries(exponent, (GaussRational.of(coeff),), order)
+    def monomial(coeff: int | Fraction, exponent: int, order: int) -> "LaurentSeries":
+        return LaurentSeries(exponent, (_frac(coeff),), order)
 
     # -- inspection -------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, exponent: int) -> GaussRational:
+    def coeff(self, exponent: int) -> Fraction:
         """Coefficient of the given exponent; raises past the known order."""
         if exponent > self.order:
             raise ValueError(f"exponent {exponent} beyond truncation order {self.order}")
         i = exponent - self.low
         if not self.coeffs or i < 0 or i >= len(self.coeffs):
-            return GR_ZERO
+            return _ZERO
         return self.coeffs[i]
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
 
     def _eff_low(self) -> int:
         # lowest exponent for precision bookkeeping; the zero series behaves
@@ -172,12 +172,12 @@ class LaurentSeries:
             return self.truncate(order)
         low = min(self.low, other.low)
         n = order - low + 1
-        cs = [GR_ZERO] * n
+        cs = [_ZERO] * n
         for s in (self, other):
             for j, c in enumerate(s.coeffs):
                 k = s.low + j - low
                 if 0 <= k < n:
-                    cs[k] = cs[k] + c
+                    cs[k] += c
         return LaurentSeries(low, cs, order)
 
     def __neg__(self) -> "LaurentSeries":
@@ -194,20 +194,20 @@ class LaurentSeries:
         n = order - low + 1
         if n <= 0:
             return LaurentSeries.zero(order)
-        cs = [GR_ZERO] * n
+        cs = [_ZERO] * n
         for ia, a in enumerate(self.coeffs):
-            if a.is_zero():
+            if not a:
                 continue
             for ib, b in enumerate(other.coeffs):
                 k = ia + ib
                 if k >= n:
                     break
-                cs[k] = cs[k] + a * b
+                cs[k] += a * b
         return LaurentSeries(low, cs, order)
 
-    def scale(self, c: ScalarLike) -> "LaurentSeries":
-        c = GaussRational.of(c)
-        if c.is_zero():
+    def scale(self, c: int | Fraction) -> "LaurentSeries":
+        c = _frac(c)
+        if not c:
             return LaurentSeries.zero(self.order)
         return LaurentSeries(self.low, tuple(c * a for a in self.coeffs), self.order)
 
@@ -224,11 +224,11 @@ class LaurentSeries:
         norder = self.order - 2 * v
         m = self.order - v  # usable tail length
         # invert 1 + t where t has positive valuation, by iteration
-        inv = [GR_ONE] + [GR_ZERO] * m
+        inv = [_ONE] + [_ZERO] * m
         for k in range(1, m + 1):
-            acc = GR_ZERO
+            acc = _ZERO
             for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = acc + (self.coeffs[j] / lead) * inv[k - j]
+                acc += (self.coeffs[j] / lead) * inv[k - j]
             inv[k] = -acc
         return LaurentSeries(-v, [c / lead for c in inv], norder)
 
@@ -283,7 +283,7 @@ class LaurentSeries:
             return f"O(x^{self.order + 1})"
         parts = []
         for j, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if not c:
                 continue
             e = self.low + j
             if e == 0:
@@ -297,19 +297,13 @@ class LaurentSeries:
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        coeffs = []
-        for c in self.coeffs:
-            if c.is_real():
-                coeffs.append([c.re.numerator, c.re.denominator])
-            else:
-                coeffs.append([[c.re.numerator, c.re.denominator],
-                               [c.im.numerator, c.im.denominator]])
-        return {"lowest_exponent": self.low, "coefficients": coeffs,
+        return {"lowest_exponent": self.low,
+                "coefficients": [[c.numerator, c.denominator] for c in self.coeffs],
                 "truncation_order": self.order}
 
     @staticmethod
     def from_json(d: dict) -> "LaurentSeries":
-        cs = [_coeff_from_json(c) for c in d["coefficients"]]
+        cs = [Fraction(n, den) for n, den in d["coefficients"]]
         return LaurentSeries(d["lowest_exponent"], cs, d["truncation_order"])
 
 
@@ -472,21 +466,22 @@ def quantum_integer_q(n: int) -> QHalfLaurent:
 def q_to_lambda(p: QHalfLaurent, order: int) -> tuple[LaurentSeries, bool]:
     """Substitute q^(1/2) = i*exp(i*x/2) into a q-polynomial.
 
-    Returns the resulting series truncated at ``order`` together with a flag
-    telling whether every imaginary part cancelled.  An imaginary residue is
-    reported, never raised: callers decide whether it is an error.
+    Returns the real part of the resulting series, truncated at ``order``,
+    together with a flag telling whether every imaginary part cancelled.  An
+    imaginary residue is reported, never raised: callers decide whether it is
+    an error, and use the series only when the flag is set.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    total = LaurentSeries.zero(order)
+    re = [_ZERO] * (order + 1)
+    im = [_ZERO] * (order + 1)
     for h, c in p.terms:
-        # c * q^(h/2) = c * i^h * exp(i*h*x/2)
-        pref = c * GaussRational.i_power(h)
-        arg = GaussRational(Fraction(0), Fraction(h, 2))  # i*h/2
-        cs = []
-        term = GR_ONE
+        # c * q^(h/2) = c * i^h * exp(i*h*x/2), whose x^j coefficient is
+        # c * i^(h+j) * (h/2)^j / j!
+        t = _ONE
         for j in range(order + 1):
-            cs.append(pref * term)
-            term = term * arg / (j + 1)
-        total = total + LaurentSeries(0, cs, order)
-    return total, total.is_real()
+            z = c * GaussRational.i_power(h + j)
+            re[j] += z.re * t
+            im[j] += z.im * t
+            t = t * Fraction(h, 2) / (j + 1)
+    return LaurentSeries(0, re, order), not any(im)

@@ -7,8 +7,9 @@ rational coefficients through the requested truncation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, isqrt
 
 from .exactnum import (
     LaurentSeries,
@@ -18,13 +19,14 @@ from .exactnum import (
     two_sin_half,
 )
 from .enumeration import _partitions
-from .lattice import InvariantError
+from .invariants import (absolute_invariant, cp3_fan, derive_line_factor,
+                         p1_cubed_fan, reduced_dt)
+from .lattice import wedge_index
 from .tropcurve import CurveType
 from .weights import curve_weight, substitution_consistent, vertex_series
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
-    from math import isqrt
     n, d = x.numerator, x.denominator
     if n < 0:
         raise ValueError("negative radicand")
@@ -35,29 +37,22 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
 
 
 def series_sqrt(s: LaurentSeries) -> LaurentSeries:
-    """Square root of a series whose valuation is even and whose coefficients
-    are real, with positive leading coefficient; used to bootstrap the even
-    recursion step."""
+    """Square root of a series whose valuation is even, with positive leading
+    coefficient; used to bootstrap the even recursion step."""
     if s.is_zero():
         return s
     if s.low % 2 != 0:
         raise ValueError("square root needs even valuation")
     c0 = s.coeffs[0]
-    if not c0.is_real() or c0.re <= 0:
-        raise ValueError("square root needs a positive real leading coefficient")
-    r0 = _fraction_sqrt(c0.re)
+    if c0 <= 0:
+        raise ValueError("square root needs a positive leading coefficient")
+    r0 = _fraction_sqrt(c0)
     half = s.low // 2
     m = s.order - s.low
     out = [Fraction(0)] * (m + 1)
     out[0] = r0
-    def coeff(i):
-        c = s.coeff(s.low + i)
-        if not c.is_real():
-            raise InvariantError(
-                "square root of a series with a non-real coefficient")
-        return c.re
     for k in range(1, m + 1):
-        acc = coeff(k)
+        acc = s.coeff(s.low + k)
         for j in range(1, k):
             acc -= out[j] * out[k - j]
         out[k] = acc / (2 * r0)
@@ -101,7 +96,6 @@ def recursion_matches_closed_form(top: int, order: int) -> bool:
 
 
 def partition_aut(mu) -> int:
-    from collections import Counter
     out = 1
     for _, c in Counter(mu).items():
         out *= factorial(c)
@@ -147,8 +141,6 @@ def pluecker_triples(count: int = 12):
 
 def pluecker_identity_holds(a, b, c, order: int) -> bool:
     """[a^b][(a+b)^c] = [b^c][(b+c)^a] + [a^c][(a+c)^b] as a series identity."""
-    from .lattice import wedge_index
-
     def br(u, v):
         n = wedge_index(u, v)
         return two_sin_half(n, order)
@@ -163,8 +155,6 @@ def pluecker_identity_holds(a, b, c, order: int) -> bool:
 
 def wedge_determines_vertex_weight(order: int, span: int = 3) -> bool:
     """Vertex weights for end pairs with equal wedge index agree coefficientwise."""
-    from .lattice import wedge_index
-
     seen: dict[int, LaurentSeries] = {}
     for a1 in range(-span, span + 1):
         for a2 in range(-span, span + 1):
@@ -211,7 +201,6 @@ def gamma_mu(n, mu) -> CurveType:
 
 
 def expected_gamma_mu_weight(mu, order: int) -> LaurentSeries:
-    from math import gcd
     l = 1
     for m in mu:
         l = l * m // gcd(l, m)
@@ -246,8 +235,6 @@ def suite_s3(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
 
 def suite_s4(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
     """Toric anchor computations."""
-    from .invariants import (absolute_invariant, cp3_fan, derive_line_factor,
-                             p1_cubed_fan)
     checks = []
     p13 = p1_cubed_fan()
     deg = [1, 1, 0, 0, 0, 0]
@@ -283,7 +270,6 @@ def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
                 continue
             checks.append((f"loop family consistency for mu={mu}",
                            substitution_consistent(gamma_mu(total, mu), order, seed)))
-    from .invariants import p1_cubed_fan, reduced_dt
     dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, order, seed)
     checks.append(("product-of-lines reduced DT equals q",
                    dt == QHalfLaurent.monomial(1, 2)))

@@ -19,7 +19,8 @@ from typing import Sequence
 
 from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
-from .lattice import INFINITE, direct_sum_index, primitive_part
+from .lattice import (INFINITE, IntMatrix, direct_sum_index, invariant_factors,
+                      primitive_part)
 from .enumeration import (
     ConstraintCycle,
     GenericityFailure,
@@ -76,7 +77,6 @@ class ToricFan:
                         tuple(sorted(cones)), frozenset(special))
 
     def is_smooth(self) -> bool:
-        from .lattice import IntMatrix, invariant_factors
         for c in self.cones:
             m = IntMatrix.from_cols([self.rays[i] for i in c], rows_hint=3)
             if invariant_factors(m) != tuple([1] * len(c)):
@@ -171,10 +171,9 @@ class Contribution:
     weight: object
 
     def to_json(self) -> dict:
-        w = (self.weight.to_json() if hasattr(self.weight, "to_json") else None)
         return {"type": self.ctype.to_json(), "stratum": self.stratum_index,
                 "index": self.lattice_factor, "aut": self.automorphisms,
-                "weight": w}
+                "weight": self.weight.to_json()}
 
 
 @dataclass
@@ -234,12 +233,12 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
 
 
 def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:
-    """Run the count at the stated bounds and again one notch wider; the
-    result is certified when both agree."""
+    """Run the count at the stated bounds and again with every bound one
+    notch wider; the result is certified when both agree."""
     res = weighted_count(req, order, seed)
     wider = SearchBounds(req.bounds.max_internal_edges + 1,
                          req.bounds.max_genus + 1,
-                         req.bounds.max_derivative_norm,
+                         req.bounds.max_derivative_norm + 1,
                          req.bounds.seed)
     res2 = weighted_count(CountRequest(req.ends, req.cycle, req.connected,
                                        req.mode, wider), order, seed)
@@ -378,8 +377,7 @@ def derive_line_factor(order: int = 20, seed: int = 0) -> LaurentSeries:
     # the ratio must be an even monomial; its square root is the factor
     if ratio.is_zero() or len(ratio.coeffs) != 1 or ratio.low % 2 != 0:
         raise ValueError(f"unexpected derivation ratio {ratio}")
-    c = ratio.coeffs[0]
-    if not (c.is_real() and c.re == 1):
+    if ratio.coeffs[0] != 1:
         raise ValueError(f"unexpected derivation ratio {ratio}")
     return LaurentSeries.monomial(1, ratio.low // 2, order)
 

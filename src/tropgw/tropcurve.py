@@ -512,9 +512,11 @@ def _canonical_form(t: CurveType, labeled: bool = True):
 
     best = order = None
     n_aut = 0
-
-    def search(colour, cells):
-        nonlocal best, order, n_aut
+    # depth-first over an explicit stack; children are pushed in reverse
+    # vertex order so they are visited in vertex order
+    stack = [ranked([tuple(sorted(e)) for e in ends])]
+    while stack:
+        colour, cells = stack.pop()
         while True:
             refined, k = ranked([
                 (colour[i], tuple(sorted((colour[j], d) for j, d in nbrs[i])))
@@ -524,10 +526,10 @@ def _canonical_form(t: CurveType, labeled: bool = True):
             colour, cells = refined, k
         if cells < n:
             target = min(c for c in colour if colour.count(c) > 1)
-            for i in range(n):
+            for i in reversed(range(n)):
                 if colour[i] == target:
-                    search(*ranked([(c, j != i) for j, c in enumerate(colour)]))
-            return
+                    stack.append(ranked([(c, j != i) for j, c in enumerate(colour)]))
+            continue
         enc = (tuple(sorted(min((colour[i], colour[j], d), (colour[j], colour[i], nd))
                             for i, j, d, nd in edges)),
                tuple(sorted((colour[i],) + e for i in range(n) for e in ends[i])))
@@ -537,7 +539,6 @@ def _canonical_form(t: CurveType, labeled: bool = True):
         if enc == best:
             n_aut += 1
 
-    search(*ranked([tuple(sorted(e)) for e in ends]))
     return best + (n,), order, n_aut
 
 

@@ -24,21 +24,21 @@ class TestSinHalf:
         # sympy and frozen here
         s = normalized_sin_half(1, 5)
         assert s.low == 1
-        assert s.coeff(1) == GaussRational.of(F(1))
-        assert s.coeff(2).is_zero()
-        assert s.coeff(3) == GaussRational.of(F(-1, 24))
-        assert s.coeff(5) == GaussRational.of(F(1, 1920))
+        assert s.coeff(1) == F(1)
+        assert s.coeff(2) == 0
+        assert s.coeff(3) == F(-1, 24)
+        assert s.coeff(5) == F(1, 1920)
 
     def test_n2_is_plain_sine(self):
         s = normalized_sin_half(2, 3)
-        assert s.coeff(1) == GaussRational.of(F(1))
-        assert s.coeff(3) == GaussRational.of(F(-1, 6))
+        assert s.coeff(1) == F(1)
+        assert s.coeff(3) == F(-1, 6)
 
     def test_leading_term_is_x_for_all_n(self):
         for n in range(1, 13):
             s = normalized_sin_half(n, 20)
             assert s.low == 1
-            assert s.coeff(1) == GaussRational.of(F(1))
+            assert s.coeff(1) == F(1)
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
@@ -48,9 +48,7 @@ class TestSinHalf:
             s = two_sin_half(n, 12)
             for e in range(1, 13):
                 expect = sympy.Rational(expans.coeff(x, e))
-                got = s.coeff(e)
-                assert got.im == 0
-                assert got.re == Fraction(int(expect.p), int(expect.q))
+                assert s.coeff(e) == Fraction(int(expect.p), int(expect.q))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -73,7 +71,7 @@ class TestSeriesArithmetic:
         sq = a * a
         assert sq.order == 5
         for e in range(2, 6):
-            assert sq.coeff(e) == GaussRational.of(conv.get(e, F(0)))
+            assert sq.coeff(e) == conv.get(e, F(0))
 
     def test_zero_annihilates(self):
         z = LaurentSeries.zero(20)
@@ -92,10 +90,18 @@ class TestSeriesArithmetic:
         with pytest.raises(ValueError):
             s.truncate(9)
 
-    def test_json_round_trip(self):
-        s = normalized_sin_half(2, 7).scale(GaussRational(F(1, 3), F(2)))
+    def test_coefficients_are_fractions(self):
+        s = normalized_sin_half(3, 9) * LaurentSeries.monomial(2, -1, 9)
+        assert all(type(c) is Fraction for c in s.coeffs)
+
+    def test_rational_json_round_trip(self):
+        s = normalized_sin_half(2, 7).scale(F(-5, 3)).shift(-2)
         back = LaurentSeries.from_json(s.to_json())
         assert back == s
+
+    def test_gaussian_scale_is_refused(self):
+        with pytest.raises(TypeError):
+            normalized_sin_half(2, 7).scale(GaussRational(F(1, 3), F(2)))
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -173,3 +179,30 @@ class TestSubstitution:
     def test_imaginary_residue_is_flagged_not_raised(self):
         ser, real = q_to_lambda(QHalfLaurent.monomial(1, 1), 4)
         assert not real
+
+
+small_gauss = st.builds(GaussRational, small_fracs, small_fracs)
+
+
+class TestSubstitutionOracle:
+    @given(st.dictionaries(st.integers(min_value=-6, max_value=6), small_gauss,
+                           max_size=4),
+           st.integers(min_value=0, max_value=6))
+    def test_matches_sympy_expansion(self, terms, order):
+        # oracle: sympy's expansion of sum c * (i e^(i x/2))^h, split into
+        # real and imaginary parts coefficient by coefficient
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        expr = sum((sympy.Rational(c.re.numerator, c.re.denominator)
+                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                   * (sympy.I * sympy.exp(sympy.I * x / 2)) ** h
+                   for h, c in terms.items())
+        poly = sympy.Poly(sympy.expand(
+            sympy.series(sympy.sympify(expr), x, 0, order + 1).removeO()), x)
+        ser, real = q_to_lambda(QHalfLaurent(terms.items()), order)
+        residue = False
+        for e in range(order + 1):
+            re, im = poly.coeff_monomial(x ** e).as_real_imag()
+            assert ser.coeff(e) == Fraction(int(re.p), int(re.q))
+            residue = residue or im != 0
+        assert real == (not residue)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropgw import invariants
 from tropgw.enumeration import SearchBounds, cycle_from_constraints
 from tropgw.exactnum import LaurentSeries, QHalfLaurent, two_sin_half
 from tropgw.invariants import (
@@ -213,6 +214,13 @@ class TestReducedDT:
         # absolute = W * x^-4, so W * x^-2 = absolute * x^2
         assert sub.agrees(absv.shift(4).shift(-2))
 
+    def test_degree_two_rays_divide_by_factorials(self):
+        # two lines in the x direction, one through each point: the bare
+        # count is 4 = 2! * 2! (which line takes which copy of each ray), and
+        # the normalization q^(sum(d)/2) / prod(d!) = q^2 / 4 leaves q^2
+        dt = reduced_dt(p1_cubed_fan(), [2, 2, 0, 0, 0, 0], 2, K, seed=0)
+        assert dt == QHalfLaurent.monomial(1, 4)
+
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             reduced_dt(p1_cubed_fan(), [0] * 6, 1, K)
@@ -247,3 +255,18 @@ class TestRobustness:
         res = certified_count(CountRequest(tuple(ends), cyc, True, "lambda",
                                            SearchBounds(max_genus=2)), K, 0)
         assert res.certified is True
+
+    def test_certified_count_widens_every_bound(self, monkeypatch):
+        seen = []
+
+        def fake_count(req, order, seed):
+            seen.append(req.bounds)
+            return invariants.CountResult(LaurentSeries.zero(order), [],
+                                          req.bounds, 0)
+
+        monkeypatch.setattr(invariants, "weighted_count", fake_count)
+        ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
+        req = CountRequest(tuple(ends), cycle_from_constraints(ends, {}),
+                           True, "lambda", SearchBounds(4, 2, 1, 7))
+        assert certified_count(req, K, 0).certified is True
+        assert seen == [SearchBounds(4, 2, 1, 7), SearchBounds(5, 3, 2, 7)]

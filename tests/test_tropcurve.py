@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from itertools import permutations
@@ -10,6 +11,7 @@ from tropgw.identities import gamma_mu
 from tropgw.lattice import IntMatrix, rational_rank
 from tropgw.tropcurve import (
     CurveType,
+    _canonical_form,
     DisconnectedCurve,
     UnbalancedCurve,
     are_isomorphic,
@@ -423,3 +425,13 @@ class TestCanonicalFormOracle:
         assert renamed.canonical_key() == cycle.canonical_key()
         assert are_isomorphic(cycle, renamed)
         assert automorphism_count(cycle) == 7
+
+    def test_search_leaves_no_reference_cycles(self):
+        t = gamma_mu(4, (2, 1, 1))
+        gc.collect()
+        gc.disable()
+        try:
+            _canonical_form(t)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
