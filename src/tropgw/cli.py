@@ -19,8 +19,7 @@ from .invariants import (CountRequest, ToricFan, absolute_invariant,
                          certified_count, reduced_dt, relative_invariant,
                          weighted_count)
 from .tropcurve import CurveType
-from .weights import (ShiftExhausted, UnsupportedVertex, curve_weight,
-                      weight_trace)
+from .weights import UnsupportedVertex, curve_weight, weight_trace
 
 EXIT_IDENTITY = 1
 EXIT_PARSE = 2
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GenericityFailure, ShiftExhausted) as exc:
+    except GenericityFailure as exc:
         print(f"error: genericity exhausted: {exc}", file=sys.stderr)
         return EXIT_GENERICITY
     except UnsupportedVertex as exc:

@@ -31,7 +31,10 @@ from .enumeration import (
     place_curves,
 )
 from .tropcurve import CurveType, automorphism_count, evaluation_image
-from .weights import RESAMPLE_CAP, curve_weight
+from .weights import curve_weight
+
+
+RESAMPLE_CAP = 16   # constraint perturbations tried before GenericityFailure
 
 
 # -- toric fans ----------------------------------------------------------------

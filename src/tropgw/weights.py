@@ -57,19 +57,10 @@ class UnsupportedVertex(ValueError):
     """A vertex weight the source material does not define (refused, not guessed)."""
 
 
-class NonGenericShift(Exception):
-    """Some resolution system is solvable but not transversely; resample."""
-
-
-class ShiftExhausted(Exception):
-    """No generic shift found within the resample cap."""
-
-
 class DepthExceeded(Exception):
     """Resolution recursion failed to terminate within the cap."""
 
 
-RESAMPLE_CAP = 16
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
@@ -128,14 +119,14 @@ def transverse_weight(t: CurveType, order: int, mode: str):
 # -- shift sampling ------------------------------------------------------------
 
 
-def sample_shifts(t: CurveType, seed: int, attempt: int) -> tuple[tuple[int, int, int], ...]:
+def sample_shifts(t: CurveType, seed: int) -> tuple[tuple[int, int, int], ...]:
     """Deterministic integral shift per internal edge, scaled by distinct primes."""
     out = []
-    b = 3 + 2 * attempt
     for i in range(t.n_internal):
-        rng = random.Random(f"shift:{seed}:{attempt}:{i}")
+        # the fixed 0 field keeps the draw, and so the trace, of every seed
+        rng = random.Random(f"shift:{seed}:0:{i}")
         p = _SMALL_PRIMES[i % len(_SMALL_PRIMES)]
-        v = tuple(rng.randint(-b, b) for _ in range(3))
+        v = tuple(rng.randint(-3, 3) for _ in range(3))
         out.append(tuple(p * x for x in v))
     return tuple(out)
 
@@ -161,10 +152,12 @@ def _replacement_bounds(degree: int, repl_genus: int) -> SearchBounds:
 
 
 def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resolution]:
-    """All solvable resolutions of t for the given shift assignment.
+    """All solvable resolutions of t for the shift assignment perturbed by
+    the infinitesimal tie-break of the module docstring.
 
-    Raises NonGenericShift when some candidate system is solvable without
-    being transversely solvable, or solvable only on the positivity boundary.
+    Any integral shift is accepted, the zero shift included: a tie at the
+    given shift is decided by the perturbation, so the result is that of a
+    generic shift arbitrarily close to it.
 
     Candidates per vertex are general types on the vertex's outgoing
     derivatives; the glued linear system for a candidate tuple asks, per
@@ -239,8 +232,8 @@ class _ResolutionSolver:
 
     The connector length of an edge with derivative d is eliminated up front
     by the integral projection killing d, shrinking each edge's block from 3
-    rows to 2; existence with positive replacement lengths, the genericity
-    test, and the projected shift all live in the reduced system.  The full
+    rows to 2; existence with positive replacement lengths, its sign tests,
+    and the projected shift all live in the reduced system.  The full
     lattice index is only computed for wirings that actually contribute.
     """
 
@@ -249,6 +242,7 @@ class _ResolutionSolver:
         self.vidx = vidx
         self.label_at = label_at
         self.cache: dict = {}
+        self.kernels: dict = {}   # id(rep) -> integral kernel of its deformations
         self.proj = {}
         for _, _, d in t.internal_edges:
             if d not in self.proj:
@@ -271,52 +265,41 @@ class _ResolutionSolver:
                 for ei, (_, _, d) in enumerate(self.t.internal_edges)]
 
     def classify(self, reps, invs, pshifts) -> int | None:
-        """The lattice index of a solvable assignment, None for a discard;
-        raises NonGenericShift when it is solvable but not transversely."""
+        """The lattice index of a solvable assignment, None for a discard.
+        A certificate row vanishing at the shift takes its sign at the
+        eps-perturbed shift (_tie_sign); a zero row has none and discards."""
         wires = self._wiring(invs)
         order = sorted(range(len(wires)), key=lambda i: wires[i])
         key = (tuple(id(r) for r in reps), tuple(wires[i] for i in order))
         entry = self.cache.get(key)
         if entry is None:
-            entry = list(self._solve(reps, [wires[i] for i in order]))
-            self.cache[key] = entry
+            entry = self.cache[key] = self._solve(
+                reps, [wires[i] for i in order])
+        if entry[1] is None:
+            return None
         # projected shift vector in the solved system's edge order
         shift_vec = []
         for i in order:
             shift_vec.extend(pshifts[i])
-        if entry[0] == "defective":
-            null_rows = entry[1]
-            if not null_rows:
-                raise InvariantError(
-                    "rank-deficient system must have left null vectors")
-            if all(sum(a * s for a, s in zip(row, shift_vec)) == 0
-                   for row in null_rows):
-                raise NonGenericShift(
-                    "shift assignment is not generic for this curve")
-            return None
-        g_rows = entry[2]
-        saw_zero = False
-        for row in g_rows:
+        for row, pulled in entry[1]:
             v = 0
             for a, s in zip(row, shift_vec):
                 if a:
                     v += a * s
-            if v < 0:
+            if v < 0 or v == 0 and _tie_sign(pulled, order) <= 0:
                 return None
-            if v == 0:
-                saw_zero = True
-        if saw_zero:
-            raise NonGenericShift("shift assignment is not generic for this curve")
-        if entry[1] is None:
-            entry[1] = self._full_index(reps, [wires[i] for i in order])
-        return entry[1]
+        if entry[0] is None:
+            entry[0] = self._full_index(reps, [wires[i] for i in order])
+        return entry[0]
 
     def _rep_data(self, reps):
         dims, kerns, length_rows = [], [], []
         for r in reps:
-            ds = deformation_space(r)
-            kerns.append(ds.lattice)
-            dims.append(ds.lattice.cols)
+            kern = self.kernels.get(id(r))
+            if kern is None:
+                kern = self.kernels[id(r)] = deformation_space(r).lattice
+            kerns.append(kern)
+            dims.append(kern.cols)
             length_rows.append([3 * r.n_vertices + j for j in range(r.n_internal)])
         offs = []
         acc = 0
@@ -337,6 +320,10 @@ class _ResolutionSolver:
                 for c in range(3)]
 
     def _solve(self, reps, wires):
+        """[index or None, [(certificate row, pulled-back row)] or None if
+        rank-deficient]: a left null vector w != 0 pulls back through the
+        rank-2 projections to a nonzero row, so w never vanishes on the
+        eps-perturbed shift and the system is never solvable there."""
         k = len(wires)
         dims, kerns, length_rows_per_rep, offs, ncols = self._rep_data(reps)
         rows = []
@@ -352,15 +339,14 @@ class _ResolutionSolver:
                     row[offs[ai] + j] -= sum(prow[c] * ra[c][j] for c in range(3))
                 rows.append(row)
         if not rows:
-            return ("surjective", 1, [])
+            return [1, []]
         # every solution and null vector below is scaled by the same den > 0,
         # which the sign tests and the primitive rows do not see
         rhs_cols = [[1 if i == j else 0 for i in range(2 * k)]
                     for j in range(2 * k)]
         sol = solve_integral(rows, rhs_cols)
         if sol is None:
-            _, _, left_null = solve_integral([list(c) for c in zip(*rows)], [])
-            return ("defective", [_int_row(r) for r in left_null], None)
+            return [None, None]
         _, s_cols, null = sol
         # length extraction over the reduced coordinates
         l_rows = []
@@ -371,11 +357,12 @@ class _ResolutionSolver:
                     row[offs[vi] + j] = kerns[vi].entries[r_idx][j]
                 l_rows.append(row)
         if not l_rows:
-            return ("surjective", None, [])
+            return [None, []]
         # B = L N and L S
         ln = [[sum(a * b for a, b in zip(lr, nc)) for nc in null] for lr in l_rows]
         conds = positive_combinations(ln)
         ls = [[sum(a * b for a, b in zip(lr, sc)) for sc in s_cols] for lr in l_rows]
+        projs = [self.proj[d].entries for *_, d in wires]
         g_rows = []
         seen = set()
         for c in conds:
@@ -383,8 +370,12 @@ class _ResolutionSolver:
                             for j in range(2 * k)])
             if row not in seen:
                 seen.add(row)
-                g_rows.append(row)
-        return ("surjective", None, g_rows)
+                # row . (P_e x) = (row_e P_e) . x per edge block
+                pulled = [row[2 * e] * p0 + row[2 * e + 1] * p1
+                          for e, (pr0, pr1) in enumerate(projs)
+                          for p0, p1 in zip(pr0, pr1)]
+                g_rows.append((row, pulled))
+        return [None, g_rows]
 
     def _full_index(self, reps, wires) -> int:
         """Index of the unprojected glued map on the product integral lattice."""
@@ -411,6 +402,16 @@ class _ResolutionSolver:
         return idx
 
 
+def _tie_sign(pulled: Sequence[int], order: Sequence[int]) -> int:
+    """Sign of the first nonzero coefficient of a pulled-back row (3 entries
+    per edge, edges in solved order) read in base-edge order; 0 if none."""
+    for e in sorted(range(len(order)), key=order.__getitem__):
+        for x in pulled[3 * e:3 * e + 3]:
+            if x:
+                return 1 if x > 0 else -1
+    return 0
+
+
 def _int_row(row: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer row by the gcd of its entries."""
     g = gcd(*row)
@@ -430,21 +431,13 @@ def clear_caches():
 
 
 def _resolutions(t: CurveType, seed: int, repl_genus: int) -> list[Resolution]:
-    """Resolutions for a seeded generic shift, shared between weight modes."""
+    """Resolutions for the seeded shift, shared between weight modes."""
     key = (t.canonical_key(), seed, repl_genus)
     hit = _RESOLUTION_MEMO.get(key)
-    if hit is not None:
-        return hit
-    for attempt in range(RESAMPLE_CAP):
-        shifts = sample_shifts(t, seed, attempt)
-        try:
-            res = resolve_with_shifts(t, shifts, repl_genus)
-        except NonGenericShift:
-            continue
-        _RESOLUTION_MEMO[key] = res
-        return res
-    raise ShiftExhausted(
-        f"no generic shift found in {RESAMPLE_CAP} attempts for {t}")
+    if hit is None:
+        hit = _RESOLUTION_MEMO[key] = resolve_with_shifts(
+            t, sample_shifts(t, seed), repl_genus)
+    return hit
 
 
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,27 @@ class TestRobustness:
             cons_u[label] = ("point", tuple(u.mul_vec(rest[0])))
         moved = count(ends_u, cons_u).value
         assert moved.agrees(base)
+
+    @pytest.mark.parametrize("u_seed", [0, 1, 2])
+    def test_gl3_invariance_of_the_cp3_request(self, u_seed):
+        # a random unimodular U applied to the whole request: ends and
+        # point constraints of the degree-1 two-point count on P^3
+        rng = random.Random(u_seed)
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        for _ in range(8):
+            i, j = rng.sample(range(3), 2)
+            q = rng.randint(-2, 2)
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+        u = IntMatrix.from_rows(rows)
+        for seed in (0, 1):
+            ends, cons = invariants._degree_ends(cp3_fan(), [1, 1, 1, 1], 2,
+                                                 seed)
+            ends_u = [u.mul_vec(e) for e in ends]
+            cons_u = {label: ("point", u.mul_vec(pt))
+                      for label, (_, pt) in cons.items()}
+            base = count(ends, cons, seed=seed).value
+            assert not base.is_zero()
+            assert count(ends_u, cons_u, seed=seed).value.agrees(base)
 
     def test_certified_count(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, -1)]

@@ -2,15 +2,15 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from tropgw import weights
 from tropgw.exactnum import (LaurentSeries, QHalfLaurent, normalized_sin_half,
                              q_to_lambda, quantum_integer_q, two_sin_half)
 from tropgw.identities import gamma_mu
 from tropgw.lattice import IntMatrix
 from tropgw.tropcurve import CurveType, genus
 from tropgw.weights import (
-    NonGenericShift,
     UnsupportedVertex,
     curve_weight,
     resolve_with_shifts,
@@ -138,9 +138,48 @@ class TestResolutions:
         for part in res[0].vertex_types:
             assert part.n_internal == 0
 
-    def test_all_zero_shift_is_non_generic(self):
-        with pytest.raises(NonGenericShift):
-            resolve_with_shifts(gamma_mu(2, (1, 1)), ((0, 0, 0), (0, 0, 0)))
+    def test_zero_shift_resolves_by_the_tie_break(self):
+        # every sign test ties at the zero shift; the infinitesimal
+        # tie-break still selects exactly one resolution of index 1
+        res = resolve_with_shifts(gamma_mu(2, (1, 1)), ((0, 0, 0), (0, 0, 0)))
+        assert len(res) == 1
+        assert res[0].index == 1
+        w = LaurentSeries.monomial(res[0].index, 0, K)
+        for part in res[0].vertex_types:
+            w = w * curve_weight(part, K, "lambda")
+        assert w.agrees(expected_mu_weight((1, 1)))
+
+    @settings(max_examples=20)
+    @given(st.sampled_from([(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1),
+                            (2, 2), (3, 1), (2, 1, 1), (1, 1, 1, 1)]),
+           st.data())
+    def test_tie_break_matches_a_numeric_perturbation(self, mu, data):
+        # s + eps e_1 + eps^2 e_2 + ... against N^(3k) s + (N^(3k-1), ..., 1)
+        k = len(mu)
+        flat = data.draw(st.lists(st.integers(-1, 1), min_size=3 * k,
+                                  max_size=3 * k))
+        n = 2 ** 32
+        num = [n ** (3 * k) * x + n ** (3 * k - 1 - j)
+               for j, x in enumerate(flat)]
+        t = gamma_mu(sum(mu), mu)
+        degenerate = tuple(tuple(flat[3 * e:3 * e + 3]) for e in range(k))
+        numeric = tuple(tuple(num[3 * e:3 * e + 3]) for e in range(k))
+        assert resolve_with_shifts(t, degenerate) == \
+            resolve_with_shifts(t, numeric)
+
+    def test_one_sweep_per_type(self, monkeypatch):
+        # the seed-15 draw for this type ties on some certificate row; the
+        # tie-break settles it inside the one sweep
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return resolve_with_shifts(*args)
+
+        weights.clear_caches()
+        monkeypatch.setattr(weights, "resolve_with_shifts", counted)
+        weights._resolutions(gamma_mu(4, (1, 1, 1, 1)), 15, 0)
+        assert len(calls) == 1
 
 
 class TestCurveWeight:
