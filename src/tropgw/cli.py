@@ -1,7 +1,10 @@
 """Command line front end: JSON in, JSON or tables out.
 
-Exit codes: 0 success, 1 identity-suite failure, 2 parse error,
-3 genericity exhaustion, 4 unsupported vertex weight.
+Exit codes: 0 success, 1 identity-suite failure, 2 parse error or
+malformed request, 4 unsupported vertex weight.  Code 3 (genericity
+exhaustion) is retired: constraint positions and resolution shifts are made
+generic by an infinitesimal tie-break, never resampled, and the "attempt" key
+of a count is always 0.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import json
 import os
 import sys
 
-from .enumeration import (GenericityFailure, SearchBounds,
-                          enumerate_curve_types)
+from .enumeration import SearchBounds, enumerate_curve_types
 from .exactnum import QHalfLaurent
 from .identities import SUITES
 from .invariants import (CountRequest, ToricFan, absolute_invariant,
@@ -23,7 +25,6 @@ from .weights import UnsupportedVertex, curve_weight, weight_trace
 
 EXIT_IDENTITY = 1
 EXIT_PARSE = 2
-EXIT_GENERICITY = 3
 EXIT_VERTEX = 4
 
 
@@ -283,9 +284,6 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GenericityFailure as exc:
-        print(f"error: genericity exhausted: {exc}", file=sys.stderr)
-        return EXIT_GENERICITY
     except UnsupportedVertex as exc:
         print(f"error: unsupported vertex weight: {exc}", file=sys.stderr)
         return EXIT_VERTEX

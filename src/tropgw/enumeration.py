@@ -11,7 +11,6 @@ holds only within the stated bounds and every caller surfaces them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -23,6 +22,7 @@ from .lattice import (
     quotient_projection,
     rational_rank,
     saturation,
+    solve_integral,
     solve_rational,
     wedge_index,
 )
@@ -64,6 +64,11 @@ class SearchBounds:
 
     @staticmethod
     def from_json(d: dict) -> "SearchBounds":
+        fields = SearchBounds.__dataclass_fields__
+        if not isinstance(d, dict) or not all(
+                k in fields and type(v) is int for k, v in d.items()):
+            raise ValueError(f"bounds must map some of {', '.join(fields)} "
+                             f"to integers")
         return SearchBounds(**d)
 
 
@@ -94,19 +99,6 @@ class ConstraintCycle:
             if s.span.cols and rational_rank(s.span.entries) != s.span.cols:
                 raise ValueError("stratum spanning columns must be independent")
 
-    def perturbed(self, seed: int, attempt: int) -> "ConstraintCycle":
-        """Translate every stratum base by a deterministic generic offset."""
-        if attempt == 0:
-            return self
-        out = []
-        for i, s in enumerate(self.strata):
-            rng = random.Random(f"cycle:{seed}:{i}:{attempt}")
-            p = _LARGE_PRIMES[(seed + i + attempt) % len(_LARGE_PRIMES)]
-            base = tuple(b + Fraction(rng.randint(-(p - 1), p - 1), p)
-                         for b in s.base)
-            out.append(Stratum(base, s.span, s.multiplicity))
-        return ConstraintCycle(self.ambient_dim, tuple(out))
-
     def rescaled(self, factor: Fraction) -> "ConstraintCycle":
         return ConstraintCycle(self.ambient_dim, tuple(
             Stratum(s.base, s.span, s.multiplicity * factor) for s in self.strata))
@@ -125,16 +117,21 @@ class ConstraintCycle:
     def from_json(d: dict) -> "ConstraintCycle":
         strata = []
         for s in d["strata"]:
-            base = tuple(Fraction(n, den) for n, den in s["base"])
+            base = tuple(_fraction(b, "base") for b in s["base"])
             span = IntMatrix.from_cols([tuple(c) for c in s["spanning"]],
                                        rows_hint=d["ambient_dim"])
-            mult = Fraction(s["multiplicity"][0], s["multiplicity"][1])
+            mult = _fraction(s["multiplicity"], "multiplicity")
             strata.append(Stratum(base, span, mult))
         return ConstraintCycle(d["ambient_dim"], tuple(strata))
 
 
-_LARGE_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
-                 10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141)
+def _fraction(pair, what: str) -> Fraction:
+    """A JSON [numerator, denominator] pair as a Fraction."""
+    if not (isinstance(pair, list) and len(pair) == 2
+            and all(type(x) is int for x in pair) and pair[1] != 0):
+        raise ValueError(f"{what} entries must be [integer, nonzero integer] "
+                         f"pairs, got {pair!r}")
+    return Fraction(*pair)
 
 
 # constraints on a single end, in R^3 terms
@@ -545,53 +542,62 @@ class Placement:
     curve: PlacedCurve
 
 
-class GenericityFailure(Exception):
-    """Constraint position hit a degenerate configuration; caller resamples."""
-
-
 def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
     """Solve the edge equations jointly with each stratum's constraint.
 
-    Raises GenericityFailure on a positive-dimensional solution set or on a
-    boundary hit (a length exactly zero): both mean the cycle needs a nudge.
-    Placements with some negative length simply do not exist and are dropped.
+    Every stratum base b is read as b + eps*e_1 + eps^2*e_2 + ... over the
+    evaluation coordinates, the tie-break the resolution shifts use
+    (simulation of simplicity).  A nonempty null space gives no placement:
+    the evaluation image and the stratum are then not complementary, and no
+    eps-moved base meets them.  A negative length drops the placement.  Only
+    when some length is exactly 0 is the system solved again, with one unit
+    right-hand side per evaluation row: a tied length takes the sign of its
+    first nonzero eps-coefficient, and one with none is zero on the whole
+    family, so the placement is discarded.  A kept placement records the
+    tied edges, which its check() then accepts at length 0.
     """
     a = edge_equation_matrix(t)
     ev, layout = evaluation_matrix(t)
     if layout.total != cycle.ambient_dim:
         raise ValueError("cycle ambient dimension does not match the ends")
     nv, k = t.n_vertices, t.n_internal
-    ncols = 3 * nv + k
     out = []
     for si, stratum in enumerate(cycle.strata):
-        sdim = stratum.span.cols
-        rows = []
-        rhs = []
-        for r in range(a.rows):
-            rows.append(list(a.entries[r]) + [0] * sdim)
-            rhs.append(Fraction(0))
-        for r in range(ev.rows):
-            rows.append(list(ev.entries[r])
-                        + [-stratum.span.entries[r][c] for c in range(sdim)])
-            rhs.append(stratum.base[r])
-        sol = solve_rational(rows, rhs)
-        if sol is None:
+        rows = [list(r) + [0] * stratum.span.cols for r in a.entries]
+        rows += [list(r) + [-x for x in s]
+                 for r, s in zip(ev.entries, stratum.span.entries)]
+        sol = solve_rational(rows, [0] * a.rows + list(stratum.base))
+        if sol is None or sol[1]:
             continue
-        part, null = sol
-        if null:
-            raise GenericityFailure(
-                f"stratum {si} meets type in a {len(null)}-dimensional family")
+        part = sol[0]
         lengths = {i: part[3 * nv + i] for i in range(k)}
-        if any(l == 0 for l in lengths.values()):
-            raise GenericityFailure(f"stratum {si} hits a boundary length")
         if any(l < 0 for l in lengths.values()):
+            continue
+        tied = frozenset(i for i, l in lengths.items() if l == 0)
+        if tied and not _ties_positive(rows, a.rows, 3 * nv, tied):
             continue
         positions = {
             v: (part[3 * i], part[3 * i + 1], part[3 * i + 2])
             for i, v in enumerate(t.vertices)}
-        placed = PlacedCurve(t, positions, lengths)
+        placed = PlacedCurve(t, positions, lengths, tied)
         if not placed.check():
             raise InvariantError("solved placement violates its edge equations")
         out.append(Placement(t, si, placed))
     return out
 
+
+def _ties_positive(rows, n_edge_rows: int, first_length: int, tied) -> bool:
+    """Whether every tied length is positive at the eps-moved base; the
+    solve's column j is the eps^(j+1)-coefficient times its den > 0."""
+    n_ev = len(rows) - n_edge_rows
+    eps_cols = [[0] * n_edge_rows + [int(i == j) for i in range(n_ev)]
+                for j in range(n_ev)]
+    sol = solve_integral(rows, eps_cols)
+    if sol is None:
+        return False
+    _, coeffs, _ = sol
+    for i in tied:
+        col = first_length + i
+        if next((x[col] for x in coeffs if x[col]), 0) <= 0:
+            return False
+    return True

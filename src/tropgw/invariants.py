@@ -19,11 +19,10 @@ from typing import Sequence
 
 from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
-from .lattice import (INFINITE, IntMatrix, direct_sum_index, invariant_factors,
-                      primitive_part)
+from .lattice import (INFINITE, IntMatrix, InvariantError, direct_sum_index,
+                      invariant_factors, primitive_part)
 from .enumeration import (
     ConstraintCycle,
-    GenericityFailure,
     SearchBounds,
     constrained_labels,
     cycle_from_constraints,
@@ -32,9 +31,6 @@ from .enumeration import (
 )
 from .tropcurve import CurveType, automorphism_count, evaluation_image
 from .weights import curve_weight
-
-
-RESAMPLE_CAP = 16   # constraint perturbations tried before GenericityFailure
 
 
 # -- toric fans ----------------------------------------------------------------
@@ -146,6 +142,10 @@ class CountRequest:
     mode: str = "lambda"
     bounds: SearchBounds = SearchBounds()
 
+    def __post_init__(self):
+        if self.mode not in ("lambda", "q"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+
     def to_json(self) -> dict:
         return {"schema": 1,
                 "ends": [list(e) for e in self.ends],
@@ -157,10 +157,13 @@ class CountRequest:
 
     @staticmethod
     def from_json(d: dict) -> "CountRequest":
+        connectedness = d.get("connectedness", "connected")
+        if connectedness not in ("connected", "disconnected-no-trivial"):
+            raise ValueError(f"unknown connectedness {connectedness!r}")
         return CountRequest(
             tuple(tuple(e) for e in d["ends"]),
             ConstraintCycle.from_json(d["cycle"]),
-            d.get("connectedness", "connected") == "connected",
+            connectedness == "connected",
             d.get("mode", "lambda"),
             SearchBounds.from_json(d["bounds"]) if "bounds" in d else SearchBounds())
 
@@ -184,12 +187,17 @@ class CountResult:
     value: object
     contributions: list
     bounds: SearchBounds
-    attempt: int
+    attempt: int        # always 0: nothing is resampled
     certified: bool | None = None
 
 
 def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:
-    """Evaluate the weighted count of constrained general tropical curves."""
+    """Evaluate the weighted count of constrained general tropical curves.
+
+    place_curves decides a placement that ties at a stratum base by the
+    infinitesimal perturbation of that base, so the count is the one at
+    generic positions arbitrarily close to the given ones.
+    """
     n_ends = len(req.ends)
     for i, s in enumerate(req.cycle.strata):
         codim = req.cycle.ambient_dim - s.span.cols
@@ -199,40 +207,30 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
                 f"(the count would not be zero-dimensional)")
     types = enumerate_curve_types(list(req.ends), req.bounds,
                                   connected=req.connected)
-    last_exc = None
-    for attempt in range(RESAMPLE_CAP):
-        cycle = req.cycle.perturbed(seed, attempt)
-        try:
-            total = (LaurentSeries.zero(order) if req.mode == "lambda"
-                     else QHalfLaurent.zero())
-            contributions = []
-            for t in types:
-                placements = place_curves(t, cycle)
-                if not placements:
-                    continue
-                ev_cols = evaluation_image(t).columns()
-                aut = automorphism_count(t)
-                w = curve_weight(t, order, req.mode, seed)
-                for p in placements:
-                    stratum = cycle.strata[p.stratum_index]
-                    idx = direct_sum_index(ev_cols, stratum.span.columns(),
-                                           cycle.ambient_dim)
-                    if idx is INFINITE:
-                        raise GenericityFailure(
-                            "degenerate evaluation/constraint pairing")
-                    contrib = w.scale(stratum.multiplicity * idx)
-                    if aut != 1:
-                        contrib = contrib.scale(Fraction(1, aut))
-                    total = total + contrib
-                    contributions.append(
-                        Contribution(t, p.stratum_index, idx, aut, w))
-            return CountResult(total, contributions, req.bounds, attempt)
-        except GenericityFailure as exc:
-            last_exc = exc
+    total = (LaurentSeries.zero(order) if req.mode == "lambda"
+             else QHalfLaurent.zero())
+    contributions = []
+    for t in types:
+        placements = place_curves(t, req.cycle)
+        if not placements:
             continue
-    raise GenericityFailure(
-        f"no generic constraint position found in {RESAMPLE_CAP} attempts "
-        f"(last: {last_exc})")
+        ev_cols = evaluation_image(t).columns()
+        aut = automorphism_count(t)
+        w = curve_weight(t, order, req.mode, seed)
+        for p in placements:
+            stratum = req.cycle.strata[p.stratum_index]
+            idx = direct_sum_index(ev_cols, stratum.span.columns(),
+                                   req.cycle.ambient_dim)
+            if idx is INFINITE:
+                raise InvariantError(
+                    "a unique placement needs a direct sum of the evaluation "
+                    "image and the stratum")
+            contrib = w.scale(stratum.multiplicity * idx)
+            if aut != 1:
+                contrib = contrib.scale(Fraction(1, aut))
+            total = total + contrib
+            contributions.append(Contribution(t, p.stratum_index, idx, aut, w))
+    return CountResult(total, contributions, req.bounds, 0)
 
 
 def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:

@@ -457,16 +457,19 @@ def vertex_star(t: CurveType, v: int) -> VertexStar:
 
 @dataclass(frozen=True)
 class PlacedCurve:
-    """An exact rational solution of the edge equations with positive lengths."""
+    """An exact rational solution of the edge equations with positive lengths;
+    a length may be 0 only on the tied edges, which placement found positive
+    under the infinitesimal perturbation of the constraints."""
 
     ctype: CurveType
     positions: dict[int, tuple[Fraction, Fraction, Fraction]]
     lengths: dict[int, Fraction]
+    tied: frozenset[int] = frozenset()
 
     def check(self) -> bool:
         for i, (tail, head, d) in enumerate(self.ctype.internal_edges):
             l = self.lengths[i]
-            if l <= 0:
+            if l < 0 or l == 0 and i not in self.tied:
                 return False
             for c in range(3):
                 if self.positions[head][c] - self.positions[tail][c] - d[c] * l != 0:

@@ -58,7 +58,7 @@ class UnsupportedVertex(ValueError):
 
 
 class DepthExceeded(Exception):
-    """Resolution recursion failed to terminate within the cap."""
+    """A resolution failed to reduce the internal edge count."""
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -142,17 +142,8 @@ class Resolution:
     index: int                            # lattice index of the glued system
 
 
-def _replacement_bounds(degree: int, repl_genus: int) -> SearchBounds:
-    return SearchBounds(
-        max_internal_edges=max(degree - 3, 0) + 2 * repl_genus,
-        max_genus=repl_genus,
-        max_derivative_norm=0,
-        seed=0,
-    )
-
-
-def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resolution]:
-    """All solvable resolutions of t for the shift assignment perturbed by
+def resolve_with_shifts(t: CurveType, shifts) -> list[Resolution]:
+    """All solvable resolutions of t for the shift assignment moved by
     the infinitesimal tie-break of the module docstring.
 
     Any integral shift is accepted, the zero shift included: a tie at the
@@ -171,9 +162,10 @@ def resolve_with_shifts(t: CurveType, shifts, repl_genus: int = 0) -> list[Resol
     groups = []
     for v in t.vertices:
         star = stars[v]
+        # genus-zero replacements of the vertex
         groups.append(_group_by_relabeling(enumerate_curve_types(
             [d for _, d, _ in star.star.external_edges],
-            _replacement_bounds(len(star.edge_refs), repl_genus))))
+            SearchBounds(max(len(star.edge_refs) - 3, 0), max_genus=0))))
 
     # star label of each edge end at its vertex
     label_at = {}
@@ -267,7 +259,7 @@ class _ResolutionSolver:
     def classify(self, reps, invs, pshifts) -> int | None:
         """The lattice index of a solvable assignment, None for a discard.
         A certificate row vanishing at the shift takes its sign at the
-        eps-perturbed shift (_tie_sign); a zero row has none and discards."""
+        eps-moved shift (_tie_sign); a zero row has none and discards."""
         wires = self._wiring(invs)
         order = sorted(range(len(wires)), key=lambda i: wires[i])
         key = (tuple(id(r) for r in reps), tuple(wires[i] for i in order))
@@ -323,7 +315,7 @@ class _ResolutionSolver:
         """[index or None, [(certificate row, pulled-back row)] or None if
         rank-deficient]: a left null vector w != 0 pulls back through the
         rank-2 projections to a nonzero row, so w never vanishes on the
-        eps-perturbed shift and the system is never solvable there."""
+        eps-moved shift and the system is never solvable there."""
         k = len(wires)
         dims, kerns, length_rows_per_rep, offs, ncols = self._rep_data(reps)
         rows = []
@@ -430,23 +422,24 @@ def clear_caches():
     _RESOLUTION_MEMO.clear()
 
 
-def _resolutions(t: CurveType, seed: int, repl_genus: int) -> list[Resolution]:
+def _resolutions(t: CurveType, seed: int) -> list[Resolution]:
     """Resolutions for the seeded shift, shared between weight modes."""
-    key = (t.canonical_key(), seed, repl_genus)
+    key = (t.canonical_key(), seed)
     hit = _RESOLUTION_MEMO.get(key)
     if hit is None:
         hit = _RESOLUTION_MEMO[key] = resolve_with_shifts(
-            t, sample_shifts(t, seed), repl_genus)
+            t, sample_shifts(t, seed))
     return hit
 
 
-def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,
-                 repl_genus: int = 0, depth_cap: int = 8, _depth: int = 0):
+def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     """Weight of a general curve type: closed product if transverse, else the
-    sum over shift resolutions, evaluated recursively."""
+    sum over shift resolutions, evaluated recursively.  Each resolution must
+    have fewer internal edges per non-transverse replacement than t
+    (DepthExceeded otherwise), which bounds the depth by t.n_internal."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
-    key = (t.canonical_key(), order, mode, seed, repl_genus)
+    key = (t.canonical_key(), order, mode, seed)
     hit = _WEIGHT_MEMO.get(key)
     if hit is not None:
         return hit
@@ -454,19 +447,17 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,
     if len(comps) > 1:
         acc = None
         for c in comps:
-            w = curve_weight(c, order, mode, seed, repl_genus, depth_cap, _depth)
+            w = curve_weight(c, order, mode, seed)
             acc = w if acc is None else acc * w
         _WEIGHT_MEMO[key] = acc
         return acc
     if not is_general(t):
         raise ValueError("curve weights are defined for general curves only")
-    if _depth > depth_cap:
-        raise DepthExceeded(f"resolution recursion exceeded depth {depth_cap}")
     if is_transverse(t):
         w = transverse_weight(t, order, mode)
         _WEIGHT_MEMO[key] = w
         return w
-    resolutions = _resolutions(t, seed, repl_genus)
+    resolutions = _resolutions(t, seed)
     for r in resolutions:
         for part in r.vertex_types:
             if not is_transverse(part) and part.n_internal >= t.n_internal:
@@ -478,8 +469,7 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,
         prod = (LaurentSeries.monomial(r.index, 0, order) if mode == "lambda"
                 else QHalfLaurent.monomial(r.index, 0))
         for part in r.vertex_types:
-            w = curve_weight(part, order, mode, seed, repl_genus,
-                             depth_cap, _depth + 1)
+            w = curve_weight(part, order, mode, seed)
             aut = automorphism_count(part)
             prod = prod * w
             if aut != 1:
@@ -489,7 +479,7 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0,
     return total
 
 
-def weight_trace(t: CurveType, seed: int = 0, repl_genus: int = 0) -> dict:
+def weight_trace(t: CurveType, seed: int = 0) -> dict:
     """Derivation record of curve_weight: the resolution tree with indices.
 
     Mirrors the recursion without recomputing anything (values come from the
@@ -501,8 +491,7 @@ def weight_trace(t: CurveType, seed: int = 0, repl_genus: int = 0) -> dict:
     comps = t.component_types()
     if len(comps) > 1:
         node["kind"] = "disconnected"
-        node["components"] = [weight_trace(c, seed, repl_genus)
-                              for c in comps]
+        node["components"] = [weight_trace(c, seed) for c in comps]
         return node
     if is_transverse(t):
         node["kind"] = "transverse"
@@ -516,22 +505,20 @@ def weight_trace(t: CurveType, seed: int = 0, repl_genus: int = 0) -> dict:
         return node
     node["kind"] = "resolved"
     node["resolutions"] = []
-    for r in _resolutions(t, seed, repl_genus):
+    for r in _resolutions(t, seed):
         node["resolutions"].append({
             "index": r.index,
             "vertex_automorphisms": [automorphism_count(p) for p in r.vertex_types],
-            "vertex_curves": [weight_trace(p, seed, repl_genus)
-                              for p in r.vertex_types],
+            "vertex_curves": [weight_trace(p, seed) for p in r.vertex_types],
         })
     return node
 
 
-def substitution_consistent(t: CurveType, order: int, seed: int = 0,
-                            repl_genus: int = 0) -> bool:
+def substitution_consistent(t: CurveType, order: int, seed: int = 0) -> bool:
     """Check that the q-weight substituted at q^(1/2) = i e^(i x/2) matches the
     series weight divided by one power of x per zero-derivative end."""
-    wq = curve_weight(t, order, "q", seed, repl_genus)
-    wl = curve_weight(t, order, "lambda", seed, repl_genus)
+    wq = curve_weight(t, order, "q", seed)
+    wl = curve_weight(t, order, "lambda", seed)
     sub, real = q_to_lambda(wq, order)
     if not real:
         return False

@@ -4,6 +4,8 @@ from importlib import resources
 import pytest
 
 from tropgw import cli
+from tropgw.enumeration import cycle_from_constraints
+from tropgw.invariants import CountRequest
 
 
 DATA = resources.files("tropgw") / "data"
@@ -179,6 +181,45 @@ class TestMalformedInput:
         code, _, err = run(capsys, "relative", str(f))
         assert code == 2
         assert "one degree per ray required" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("connectedness", "conected", "unknown connectedness"),
+        ("bounds", {"max_genus": 5, "max_edges": 8}, "bounds must map"),
+        ("bounds", {"max_genus": "5"}, "bounds must map"),
+        ("base", 3, "base entries"),
+        ("base", [3, 0], "base entries"),
+        ("multiplicity", [1, 0], "multiplicity entries"),
+        ("multiplicity", [1.5, 1], "multiplicity entries"),
+    ])
+    def test_malformed_count_request_is_exit_2(self, tmp_path, capsys,
+                                                field, value, message):
+        doc = json.loads((DATA / "s3_family1_configA.json").read_text())
+        if field == "base":
+            doc["cycle"]["strata"][0]["base"][0] = value
+        elif field == "multiplicity":
+            doc["cycle"]["strata"][0]["multiplicity"] = value
+        else:
+            doc[field] = value
+        f = tmp_path / "request.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_unknown_mode_is_exit_2(self, tmp_path, capsys):
+        # two opposite ends have no general type, so no weight is ever
+        # computed in the unknown mode: the request itself must be refused
+        ends = ((1, 0, 0), (-1, 0, 0))
+        cyc = cycle_from_constraints(ends, {1: ("point", (0, 0, 0))})
+        doc = CountRequest(ends, cyc).to_json()
+        doc["mode"] = "lamda"
+        f = tmp_path / "request.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 2
+        assert out == ""
+        assert "unknown mode" in err
 
     def test_non_integer_special_rays_are_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA / "cp3.json").read_text())

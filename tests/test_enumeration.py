@@ -1,9 +1,12 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from tropgw.enumeration import (
     ConstraintCycle,
-    GenericityFailure,
     SearchBounds,
+    Stratum,
     cycle_from_constraints,
     enumerate_curve_types,
     place_curves,
@@ -125,17 +128,40 @@ class TestPlacement:
             for p in place_curves(t, cyc):
                 assert p.curve.check()  # exact substitution back into the system
 
-    def test_boundary_hit_raises(self):
+    def test_boundary_hit_resolves_by_the_tie_break(self):
         # constrain both rays through the vertex of the single-vertex type so
-        # a chain placement would need length zero
+        # each chain placement needs length zero; the tie-break keeps the
+        # chains that the explicit perturbation base + sum d^(j+1) e_j,
+        # d = 2^-32, keeps, and the kept one records its tied edge
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
         types = enumerate_curve_types(ends, SearchBounds(max_genus=0))
         cyc = cycle_from_constraints(
             ends, {2: ("point", (0, 0, 0)), 1: ("plane", 1, 0),
                    3: ("plane", 1, 0)})
-        with pytest.raises(GenericityFailure):
-            for t in types:
-                place_curves(t, cyc)
+        s = cyc.strata[0]
+        d = Fraction(1, 2 ** 32)
+        near = ConstraintCycle(cyc.ambient_dim, (Stratum(
+            tuple(b + d ** (j + 1) for j, b in enumerate(s.base)),
+            s.span, s.multiplicity),))
+        kept = [place_curves(t, cyc) for t in types]
+        assert [len(p) for p in kept] == [len(place_curves(t, near))
+                                          for t in types]
+        assert sorted(len(p) for p in kept) == [0, 1]
+        (p,) = [p for ps in kept for p in ps]
+        assert p.curve.lengths == {0: 0}
+        assert p.curve.tied == {0}
+        assert p.curve.check()
+        assert not replace(p.curve, tied=frozenset()).check()
+        assert all(l > 0 for pn in place_curves(p.ctype, near)
+                   for l in pn.curve.lengths.values())
+
+    def test_positive_dimensional_family_places_nothing(self):
+        # an unconstrained marker leaves the vertex free to move: a null
+        # space, which no perturbed base turns into an isolated placement
+        t = CurveType.make([0], (), [(0, (1, 0, 0), 1), (0, (0, 0, 0), 2),
+                                     (0, (-1, 0, 0), 3)])
+        cyc = cycle_from_constraints([(1, 0, 0), (0, 0, 0), (-1, 0, 0)], {})
+        assert place_curves(t, cyc) == []
 
 
 class TestCycleJson:
@@ -144,14 +170,3 @@ class TestCycleJson:
         cyc = cycle_from_constraints(ends, {2: ("point", (1, 2, 3))})
         back = ConstraintCycle.from_json(cyc.to_json())
         assert back == cyc
-
-    def test_perturbation_is_deterministic_and_lattice_preserving(self):
-        ends = [(1, 0, 0), (0, 0, 0), (-1, 0, 0)]
-        cyc = cycle_from_constraints(ends, {2: ("point", (1, 2, 3))})
-        a = cyc.perturbed(seed=5, attempt=2)
-        b = cyc.perturbed(seed=5, attempt=2)
-        assert a == b
-        assert a != cyc.perturbed(seed=5, attempt=3)
-        for s0, s1 in zip(cyc.strata, a.strata):
-            assert s0.span == s1.span
-            assert s0.multiplicity == s1.multiplicity

@@ -270,6 +270,25 @@ class TestRobustness:
             assert not base.is_zero()
             assert count(ends_u, cons_u, seed=seed).value.agrees(base)
 
+    @pytest.mark.parametrize("fan, degrees, points, expected", [
+        (cp3_fan(), [1, 1, 1, 1], 2,
+         (two_sin_half(1, K) * two_sin_half(1, K)).shift(2)),
+        (p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, LaurentSeries.monomial(1, 1, K)),
+    ], ids=["cp3", "p1cubed"])
+    def test_grid_points_give_the_generic_value(self, fan, degrees, points,
+                                                expected):
+        # points on the {-1, 0, 1}^3 grid put curves on walls (zero lengths,
+        # markers on vertices); the tie-break must still give the value at
+        # generic points: criterion 5's anchor before the x^-4 normalization
+        # for cp3, one line with its marker weight x for p1cubed
+        ends, _ = invariants._degree_ends(fan, degrees, points, 0)
+        for grid_seed in range(18):
+            rng = random.Random(grid_seed)
+            cons = {len(ends) - points + j + 1:
+                    ("point", tuple(rng.choice((-1, 0, 1)) for _ in range(3)))
+                    for j in range(points)}
+            assert count(ends, cons).value.agrees(expected), cons
+
     def test_certified_count(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, -1)]
         cons = {1: ("point", (0, 0, -1)), 2: ("point", (0, 0, 1))}

@@ -178,7 +178,7 @@ class TestResolutions:
 
         weights.clear_caches()
         monkeypatch.setattr(weights, "resolve_with_shifts", counted)
-        weights._resolutions(gamma_mu(4, (1, 1, 1, 1)), 15, 0)
+        weights._resolutions(gamma_mu(4, (1, 1, 1, 1)), 15)
         assert len(calls) == 1
 
 
