@@ -47,32 +47,39 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _bounds_from_args(args) -> SearchBounds:
-    return SearchBounds(args.max_internal_edges, args.max_genus,
-                        args.max_deriv, args.seed)
+def _bounds_from_args(args, base: SearchBounds = SearchBounds()) -> SearchBounds:
+    """base with every bound given on the command line replacing its own;
+    the seed always follows --seed."""
+    given = (args.max_internal_edges, args.max_genus, args.max_deriv)
+    kept = (base.max_internal_edges, base.max_genus, base.max_derivative_norm)
+    return SearchBounds(*(k if g is None else g for g, k in zip(given, kept)),
+                        args.seed)
 
 
 def _default_seed() -> int:
     env = os.environ.get("TROPGW_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ParseFailure(f"TROPGW_SEED must be an integer, got {env!r}")
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--order", type=int, default=20, metavar="K")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--max-internal-edges", type=int, default=8)
-    p.add_argument("--max-genus", type=int, default=5)
-    p.add_argument("--max-deriv", type=int, default=0)
+    p.add_argument("--max-internal-edges", type=int)
+    p.add_argument("--max-genus", type=int)
+    p.add_argument("--max-deriv", type=int)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
 
 
-def _emit_value(value, args, extra=None, contributions=None):
+def _emit_value(value, args, extra=None, contributions=None, bounds=None):
     doc = {"schema": 1, "value": value.to_json(),
            "mode": "q" if isinstance(value, QHalfLaurent) else "lambda",
            "order": getattr(args, "order", None),
            "seed": args.seed,
-           "bounds": _bounds_from_args(args).to_json()}
+           "bounds": (bounds or _bounds_from_args(args)).to_json()}
     if extra:
         doc.update(extra)
     if args.trace and contributions is not None:
@@ -116,7 +123,7 @@ def cmd_count(args) -> int:
     except (KeyError, ValueError) as exc:
         raise ParseFailure(f"{args.request}: {exc}")
     req = CountRequest(req.ends, req.cycle, req.connected, req.mode,
-                       _bounds_from_args(args))
+                       _bounds_from_args(args, req.bounds))
     if args.certify:
         res = certified_count(req, args.order, args.seed)
     else:
@@ -124,7 +131,7 @@ def cmd_count(args) -> int:
     return _emit_value(res.value, args,
                        extra={"certified": res.certified,
                               "attempt": res.attempt},
-                       contributions=res.contributions)
+                       contributions=res.contributions, bounds=req.bounds)
 
 
 def _parse_degrees(s: str, n: int) -> list[int]:
@@ -275,9 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "order", 1) < 1:
             raise ParseFailure("--order must be at least 1")
         return args.fn(args)

@@ -81,9 +81,6 @@ class Stratum:
     span: IntMatrix                     # columns: integral tangent lattice
     multiplicity: Fraction
 
-    def dim(self) -> int:
-        return self.span.cols
-
 
 @dataclass(frozen=True)
 class ConstraintCycle:
@@ -162,41 +159,28 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
 
     for label, off, size in layout.blocks:
         d = tuple(ends[label - 1])
+        # the end's evaluation block, as in evaluation_matrix
+        block = (IntMatrix.identity(3) if d == (0, 0, 0)
+                 else quotient_projection(d))
         con = constraints.get(label)
-        if d == (0, 0, 0):
-            if con is None:
-                base.extend([Fraction(0)] * 3)
-                push_cols([(1, 0, 0), (0, 1, 0), (0, 0, 1)], off)
-            elif con[0] == "point":
-                base.extend(Fraction(x) for x in con[1])
-            elif con[0] == "plane":
-                _, coord, value = con
-                base.extend(Fraction(value) if i == coord else Fraction(0)
-                            for i in range(3))
-                push_cols([tuple(1 if i == j else 0 for i in range(3))
-                           for j in range(3) if j != coord], off)
-            else:
-                raise ValueError(f"unknown constraint {con[0]!r}")
+        if con is None:
+            base.extend([Fraction(0)] * size)
+            push_cols(IntMatrix.identity(size).columns(), off)
+        elif con[0] == "point":
+            base.extend(block.mul_vec([Fraction(x) for x in con[1]]))
+        elif con[0] == "plane":
+            _, coord, value = con
+            if coord not in (0, 1, 2):
+                raise ValueError(f"plane coordinate must be 0, 1 or 2, got {coord!r}")
+            if d[coord] != 0:
+                raise ValueError(
+                    f"plane x_{coord}={value} does not constrain an end of derivative {d}")
+            base.extend(block.mul_vec([Fraction(value if i == coord else 0)
+                                       for i in range(3)]))
+            dirs = [c for j, c in enumerate(block.columns()) if j != coord]
+            push_cols(saturation([c for c in dirs if any(c)], size).columns(), off)
         else:
-            proj = quotient_projection(d)
-            if con is None:
-                base.extend([Fraction(0)] * 2)
-                push_cols([(1, 0), (0, 1)], off)
-            elif con[0] == "point":
-                base.extend(proj.mul_vec([Fraction(x) for x in con[1]]))
-            elif con[0] == "plane":
-                _, coord, value = con
-                if d[coord] != 0:
-                    raise ValueError(
-                        f"plane x_{coord}={value} does not constrain an end of derivative {d}")
-                base.extend(proj.mul_vec([Fraction(value if i == coord else 0)
-                                          for i in range(3)]))
-                dirs = [tuple(proj.entries[r][j] for r in range(2))
-                        for j in range(3) if j != coord]
-                sat = saturation([c for c in dirs if any(c)], 2)
-                push_cols(sat.columns(), off)
-            else:
-                raise ValueError(f"unknown constraint {con[0]!r}")
+            raise ValueError(f"unknown constraint {con[0]!r}")
     span = IntMatrix.from_cols(span_cols, rows_hint=total)
     return ConstraintCycle(total, (Stratum(tuple(base), span, Fraction(1)),))
 

@@ -70,13 +70,6 @@ class GaussRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: ScalarLike) -> "GaussRational":
-        o = GaussRational.of(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return self * GaussRational(o.re / n, -o.im / n)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -232,22 +225,6 @@ class LaurentSeries:
             inv[k] = -acc
         return LaurentSeries(-v, [c / lead for c in inv], norder)
 
-    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self * other.inverse()
-
-    def pow(self, n: int) -> "LaurentSeries":
-        if n < 0:
-            return self.inverse().pow(-n)
-        result = LaurentSeries.one(self.order + max(0, (n - 1)) * self._eff_low())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def truncate(self, order: int) -> "LaurentSeries":
         if order >= self.order:
             if order > self.order:
@@ -379,19 +356,6 @@ class QHalfLaurent:
         if c.is_zero():
             return QHalfLaurent.zero()
         return QHalfLaurent(tuple((h, c * a) for h, a in self.terms))
-
-    def pow(self, n: int) -> "QHalfLaurent":
-        if n < 0:
-            raise ValueError("negative powers of q-polynomials are not defined")
-        r = QHalfLaurent.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            n >>= 1
-            if n:
-                b = b * b
-        return r
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QHalfLaurent):

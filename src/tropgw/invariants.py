@@ -272,13 +272,20 @@ def _seeded_point(seed: int, which: int) -> tuple[Fraction, Fraction, Fraction]:
     return tuple(Fraction(rng.randint(-500, 500), primes[c]) for c in range(3))
 
 
+def _check_degrees(fan: ToricFan, degrees: Sequence[int]):
+    """One non-negative integer degree per ray of the fan."""
+    if len(degrees) != len(fan.rays):
+        raise ValueError("one degree per ray required")
+    if not all(type(d) is int for d in degrees):
+        raise ValueError(f"degrees must be integers, got {list(degrees)!r}")
+    if any(d < 0 for d in degrees):
+        raise ValueError("degrees must be non-negative")
+
+
 def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int):
     """The ends of a degree class, d_i copies of ray i, followed by one marker
     end per point, and the seeded point constraints on the markers."""
-    if len(degrees) != len(fan.rays):
-        raise ValueError("one degree per ray required")
-    if any(d < 0 for d in degrees):
-        raise ValueError("degrees must be non-negative")
+    _check_degrees(fan, degrees)
     if all(d == 0 for d in degrees):
         raise ValueError("the zero class is excluded")
     ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
@@ -336,8 +343,7 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     """
     if not is_convex_relative(fan):
         raise ValueError("fan fails the relative convexity requirement")
-    if len(degrees) != len(fan.rays):
-        raise ValueError("one degree per ray required")
+    _check_degrees(fan, degrees)
     for i, d in enumerate(degrees):
         if d > 0 and i not in fan.special:
             raise ValueError("positive degree on a non-special ray")

@@ -103,18 +103,6 @@ class IntMatrix:
             raise ValueError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [str(x) for r in self.entries for x in r]}
-
-    @staticmethod
-    def from_json(d: dict) -> "IntMatrix":
-        r, c = d["rows"], d["cols"]
-        flat = [int(x) for x in d["entries"]]
-        if len(flat) != r * c:
-            raise ValueError("entry count does not match dimensions")
-        return IntMatrix(tuple(tuple(flat[i * c:(i + 1) * c]) for i in range(r)), r, c)
-
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (D, U, V) with U*m*V = D, D diagonal with d1 | d2 | ..., U, V unimodular."""

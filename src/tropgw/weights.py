@@ -2,22 +2,24 @@
 
 A transverse type factors as its multiplicity times one closed-form weight
 per trivalent vertex.  A non-transverse type is resolved by shifting each
-internal edge's matching equation by a generic vector and summing over the
-combinatorial types of resolutions: per vertex a general replacement curve
-with matching outgoing derivatives, glued by signed connector lengths.  Each
+internal edge's matching equation by a seeded integral vector s and summing
+over the combinatorial types of resolutions: per vertex a general replacement
+curve with matching outgoing derivatives, glued by signed connector lengths.
+A sign test that ties at s is decided at s + eps e_1 + eps^2 e_2 + ... over
+the raw shift coordinates, so every shift acts as a generic one.  Each
 solvable resolution contributes its own lattice index times the product of
 its vertex-curve weights over their automorphisms; the total is independent
 of the shift, which the test suite checks across seeds.
 
-Both the Laurent-series weight and its q-polynomial counterpart run through
-the same resolution machinery; only the closed forms at trivalent vertices
-differ.
+Each (type, seed) has one memoized derivation record holding that data.  The
+Laurent-series weight and its q-polynomial counterpart both evaluate it, with
+different closed forms at trivalent vertices, and weight_trace prints it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -67,53 +69,48 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 # -- vertex closed forms -------------------------------------------------------
 
 
-def _classify_star(ends: Sequence[tuple[int, int, int]]):
+def _wedge(star: CurveType):
+    """The wedge index n of a trivalent star, or "marker" for a trivalent
+    star with one zero-derivative end; any other star is refused."""
+    ends = [d for _, d, _ in star.external_edges]
     if len(ends) != 3:
         raise UnsupportedVertex(f"no closed form for a {len(ends)}-valent vertex")
-    zeros = [d for d in ends if d == (0, 0, 0)]
     nonzero = [d for d in ends if d != (0, 0, 0)]
-    if len(zeros) == 0:
+    if len(nonzero) == 3:
         n = wedge_index(nonzero[0], nonzero[1])
         if n == 0:
             raise UnsupportedVertex("colinear trivalent vertex is not general")
-        return ("wedge", n)
-    if len(zeros) == 1:
-        return ("marker", None)
+        return n
+    if len(nonzero) == 2:
+        return "marker"
     raise UnsupportedVertex("vertex with several zero-derivative ends")
+
+
+def _vertex_weight(n, order: int | None, mode: str):
+    """2 sin(n x/2)/n or x on the lambda side; (i^-(1+n) q^(n/2) +
+    i^(1+n) q^(-n/2))/n or 1 on the q side (n is the wedge or "marker")."""
+    if mode == "lambda":
+        return (LaurentSeries.monomial(1, 1, order) if n == "marker"
+                else normalized_sin_half(n, order))
+    return (QHalfLaurent.one() if n == "marker"
+            else quantum_integer_q(n).scale(Fraction(1, n)))
 
 
 def vertex_series(star: CurveType, order: int) -> LaurentSeries:
     """Series weight of a single-vertex type (trivalent closed forms)."""
-    kind, n = _classify_star([d for _, d, _ in star.external_edges])
-    if kind == "wedge":
-        return normalized_sin_half(n, order)
-    return LaurentSeries.monomial(1, 1, order)
+    return _vertex_weight(_wedge(star), order, "lambda")
 
 
 def vertex_qpoly(star: CurveType) -> QHalfLaurent:
     """q-polynomial weight of a single-vertex type."""
-    kind, n = _classify_star([d for _, d, _ in star.external_edges])
-    if kind == "wedge":
-        return quantum_integer_q(n).scale(Fraction(1, n))
-    return QHalfLaurent.one()
+    return _vertex_weight(_wedge(star), None, "q")
 
 
 def transverse_weight(t: CurveType, order: int, mode: str):
     """Multiplicity times the product of vertex weights (transverse case)."""
     if not is_transverse(t):
         raise ValueError("transverse weight on a non-transverse curve")
-    m = multiplicity(t)
-    if mode == "lambda":
-        acc = LaurentSeries.monomial(m, 0, order)
-        for v in t.vertices:
-            acc = acc * vertex_series(vertex_star(t, v).star, order)
-        return acc
-    elif mode == "q":
-        acc = QHalfLaurent.monomial(m, 0)
-        for v in t.vertices:
-            acc = acc * vertex_qpoly(vertex_star(t, v).star)
-        return acc
-    raise ValueError(f"unknown mode {mode!r}")
+    return curve_weight(t, order, mode)
 
 
 # -- shift sampling ------------------------------------------------------------
@@ -158,23 +155,13 @@ def resolve_with_shifts(t: CurveType, shifts) -> list[Resolution]:
     replacement length strictly positive.
     """
     stars = {v: vertex_star(t, v) for v in t.vertices}
-    # candidate lists per vertex, grouped modulo derivative-preserving relabeling
-    groups = []
-    for v in t.vertices:
-        star = stars[v]
-        # genus-zero replacements of the vertex
-        groups.append(_group_by_relabeling(enumerate_curve_types(
-            [d for _, d, _ in star.star.external_edges],
-            SearchBounds(max(len(star.edge_refs) - 3, 0), max_genus=0))))
+    # genus-zero replacements per vertex, grouped modulo relabeling
+    groups = [_group_by_relabeling(enumerate_curve_types(
+        [d for _, d, _ in stars[v].star.external_edges],
+        SearchBounds(max(len(stars[v].edge_refs) - 3, 0), max_genus=0)))
+        for v in t.vertices]
 
-    # star label of each edge end at its vertex
-    label_at = {}
-    for vi, v in enumerate(t.vertices):
-        for slot, ref in enumerate(stars[v].edge_refs):
-            label_at[(vi, ref)] = slot + 1
-    vidx = {v: i for i, v in enumerate(t.vertices)}
-
-    solver = _ResolutionSolver(t, vidx, label_at)
+    solver = _ResolutionSolver(t, stars)
     pshifts = solver.projected_shifts(shifts)
     out = []
     for assign in product(*groups):
@@ -229,22 +216,19 @@ class _ResolutionSolver:
     lattice index is only computed for wirings that actually contribute.
     """
 
-    def __init__(self, t: CurveType, vidx, label_at):
+    def __init__(self, t: CurveType, stars):
         self.t = t
-        self.vidx = vidx
-        self.label_at = label_at
         self.cache: dict = {}
         self.kernels: dict = {}   # id(rep) -> integral kernel of its deformations
-        self.proj = {}
-        for _, _, d in t.internal_edges:
-            if d not in self.proj:
-                self.proj[d] = quotient_projection(d)
+        self.proj = {d: quotient_projection(d) for _, _, d in t.internal_edges}
+        # star label of each edge end; an edge-end reference names its vertex
+        slot = {ref: s + 1 for v in t.vertices
+                for s, ref in enumerate(stars[v].edge_refs)}
+        vidx = {v: i for i, v in enumerate(t.vertices)}
         # static per-edge data: (tail idx, head idx, tail slot, head slot, d)
-        self.edge_info = []
-        for ei, (a, b, d) in enumerate(t.internal_edges):
-            ai, bi = vidx[a], vidx[b]
-            self.edge_info.append((ai, bi, label_at[(ai, ("tail", ei))],
-                                   label_at[(bi, ("head", ei))], d))
+        self.edge_info = [(vidx[a], vidx[b], slot[("tail", ei)],
+                           slot[("head", ei)], d)
+                          for ei, (a, b, d) in enumerate(t.internal_edges)]
 
     def _wiring(self, invs):
         """Per edge: (tail vertex, head vertex, tail slot, head slot, d) with
@@ -270,9 +254,7 @@ class _ResolutionSolver:
         if entry[1] is None:
             return None
         # projected shift vector in the solved system's edge order
-        shift_vec = []
-        for i in order:
-            shift_vec.extend(pshifts[i])
+        shift_vec = [x for i in order for x in pshifts[i]]
         for row, pulled in entry[1]:
             v = 0
             for a, s in zip(row, shift_vec):
@@ -284,32 +266,39 @@ class _ResolutionSolver:
             entry[0] = self._full_index(reps, [wires[i] for i in order])
         return entry[0]
 
-    def _rep_data(self, reps):
-        dims, kerns, length_rows = [], [], []
+    def _glue(self, reps, wires):
+        """The glued system over the product of the replacement deformation
+        lattices: per wire the 3 x ncols block "head attachment point minus
+        tail attachment point", and the rows reading off every replacement
+        length."""
+        kerns, offs, ncols = [], [], 0
         for r in reps:
             kern = self.kernels.get(id(r))
             if kern is None:
                 kern = self.kernels[id(r)] = deformation_space(r).lattice
             kerns.append(kern)
-            dims.append(kern.cols)
-            length_rows.append([3 * r.n_vertices + j for j in range(r.n_internal)])
-        offs = []
-        acc = 0
-        for d in dims:
-            offs.append(acc)
-            acc += d
-        return dims, kerns, length_rows, offs, acc
+            offs.append(ncols)
+            ncols += kern.cols
 
-    @staticmethod
-    def _attach_rows(reps, kerns, dims, vi, slot):
-        # 3 x dims[vi]: position of the vertex carrying external label `slot`
-        # in replacement vi, composed with its kernel basis
-        r = reps[vi]
-        w = next(v for v, _, l in r.external_edges if l == slot)
-        wi = list(r.vertices).index(w)
-        kern = kerns[vi]
-        return [[kern.entries[3 * wi + c][j] for j in range(dims[vi])]
-                for c in range(3)]
+        def spread(vi, kern_rows):
+            # rows of replacement vi's kernel basis, placed in its columns
+            pad = ncols - offs[vi] - kerns[vi].cols
+            return [[0] * offs[vi] + list(kerns[vi].entries[i]) + [0] * pad
+                    for i in kern_rows]
+
+        def point(vi, slot):
+            # position of the vertex carrying external label `slot`
+            r = reps[vi]
+            wi = list(r.vertices).index(
+                next(v for v, _, l in r.external_edges if l == slot))
+            return spread(vi, range(3 * wi, 3 * wi + 3))
+
+        blocks = [[[h - t for h, t in zip(hr, tr)]
+                   for hr, tr in zip(point(bi, sb), point(ai, sa))]
+                  for ai, bi, sa, sb, _ in wires]
+        l_rows = [row for vi, r in enumerate(reps) for row in spread(
+            vi, range(3 * r.n_vertices, 3 * r.n_vertices + r.n_internal))]
+        return blocks, l_rows
 
     def _solve(self, reps, wires):
         """[index or None, [(certificate row, pulled-back row)] or None if
@@ -317,19 +306,10 @@ class _ResolutionSolver:
         rank-2 projections to a nonzero row, so w never vanishes on the
         eps-moved shift and the system is never solvable there."""
         k = len(wires)
-        dims, kerns, length_rows_per_rep, offs, ncols = self._rep_data(reps)
-        rows = []
-        for ai, bi, sa, sb, d in wires:
-            ra = self._attach_rows(reps, kerns, dims, ai, sa)
-            rb = self._attach_rows(reps, kerns, dims, bi, sb)
-            p = self.proj[d]
-            for prow in p.entries:
-                row = [0] * ncols
-                for j in range(dims[bi]):
-                    row[offs[bi] + j] += sum(prow[c] * rb[c][j] for c in range(3))
-                for j in range(dims[ai]):
-                    row[offs[ai] + j] -= sum(prow[c] * ra[c][j] for c in range(3))
-                rows.append(row)
+        blocks, l_rows = self._glue(reps, wires)
+        projs = [self.proj[d].entries for *_, d in wires]
+        rows = [[sum(p * x for p, x in zip(prow, col)) for col in zip(*block)]
+                for block, proj in zip(blocks, projs) for prow in proj]
         if not rows:
             return [1, []]
         # every solution and null vector below is scaled by the same den > 0,
@@ -340,21 +320,12 @@ class _ResolutionSolver:
         if sol is None:
             return [None, None]
         _, s_cols, null = sol
-        # length extraction over the reduced coordinates
-        l_rows = []
-        for vi in range(len(reps)):
-            for r_idx in length_rows_per_rep[vi]:
-                row = [0] * ncols
-                for j in range(dims[vi]):
-                    row[offs[vi] + j] = kerns[vi].entries[r_idx][j]
-                l_rows.append(row)
         if not l_rows:
             return [None, []]
         # B = L N and L S
         ln = [[sum(a * b for a, b in zip(lr, nc)) for nc in null] for lr in l_rows]
         conds = positive_combinations(ln)
         ls = [[sum(a * b for a, b in zip(lr, sc)) for sc in s_cols] for lr in l_rows]
-        projs = [self.proj[d].entries for *_, d in wires]
         g_rows = []
         seen = set()
         for c in conds:
@@ -370,25 +341,16 @@ class _ResolutionSolver:
         return [None, g_rows]
 
     def _full_index(self, reps, wires) -> int:
-        """Index of the unprojected glued map on the product integral lattice."""
+        """Index of the unprojected glued map on the product integral lattice,
+        with one connector column -d per wire in front."""
         k = len(wires)
-        dims, kerns, _, offs, nred = self._rep_data(reps)
-        ncols = k + nred
-        rows = []
-        for ei, (ai, bi, sa, sb, d) in enumerate(wires):
-            ra = self._attach_rows(reps, kerns, dims, ai, sa)
-            rb = self._attach_rows(reps, kerns, dims, bi, sb)
-            for c in range(3):
-                row = [0] * ncols
-                row[ei] = -d[c]
-                for j in range(dims[bi]):
-                    row[k + offs[bi] + j] += rb[c][j]
-                for j in range(dims[ai]):
-                    row[k + offs[ai] + j] -= ra[c][j]
-                rows.append(row)
-        if not rows:
+        if not k:
             return 1
-        idx = lattice_index(IntMatrix.from_rows(rows, cols_hint=ncols))
+        blocks, _ = self._glue(reps, wires)
+        rows = [[-d[c] if e == ei else 0 for e in range(k)] + block[c]
+                for ei, ((*_, d), block) in enumerate(zip(wires, blocks))
+                for c in range(3)]
+        idx = lattice_index(IntMatrix.from_rows(rows))
         if idx is INFINITE:
             raise InvariantError("solvable wiring must have finite index")
         return idx
@@ -413,104 +375,112 @@ def _int_row(row: Sequence[int]) -> tuple[int, ...]:
 # -- the gluing recursion ------------------------------------------------------
 
 
-_WEIGHT_MEMO: dict = {}
-_RESOLUTION_MEMO: dict = {}
+@dataclass
+class _Derivation:
+    """What a (type, seed) weight is made of, found once for both modes.
+
+    kind "disconnected": parts are the component types.  "transverse": the
+    multiplicity and, as parts, the vertex wedges (_wedge) in vertex order.
+    "resolved": parts are (index, ((vertex curve, automorphism count), ...))
+    per resolution.  weights holds the evaluations by (order, mode).
+    """
+
+    kind: str
+    parts: tuple
+    multiplicity: int = 1
+    weights: dict = field(default_factory=dict)
+
+
+_DERIVATIONS: dict = {}
 
 
 def clear_caches():
-    _WEIGHT_MEMO.clear()
-    _RESOLUTION_MEMO.clear()
+    _DERIVATIONS.clear()
 
 
-def _resolutions(t: CurveType, seed: int) -> list[Resolution]:
-    """Resolutions for the seeded shift, shared between weight modes."""
+def _derivation(t: CurveType, seed: int) -> _Derivation:
+    """The memoized derivation of t for the seeded shift.  Each resolution
+    must have fewer internal edges per non-transverse replacement than t
+    (DepthExceeded otherwise), which bounds the depth by t.n_internal."""
     key = (t.canonical_key(), seed)
-    hit = _RESOLUTION_MEMO.get(key)
-    if hit is None:
-        hit = _RESOLUTION_MEMO[key] = resolve_with_shifts(
-            t, sample_shifts(t, seed))
-    return hit
+    rec = _DERIVATIONS.get(key)
+    if rec is not None:
+        return rec
+    comps = t.component_types()
+    if len(comps) > 1:
+        rec = _Derivation("disconnected", tuple(comps))
+    elif not is_general(t):
+        raise ValueError("curve weights are defined for general curves only")
+    elif is_transverse(t):
+        rec = _Derivation("transverse", tuple(
+            _wedge(vertex_star(t, v).star) for v in t.vertices), multiplicity(t))
+    else:
+        parts = []
+        for r in resolve_with_shifts(t, sample_shifts(t, seed)):
+            if any(not is_transverse(p) and p.n_internal >= t.n_internal
+                   for p in r.vertex_types):
+                raise DepthExceeded(
+                    "resolution did not reduce the internal edge count")
+            parts.append((r.index, tuple((p, automorphism_count(p))
+                                         for p in r.vertex_types)))
+        rec = _Derivation("resolved", tuple(parts))
+    _DERIVATIONS[key] = rec
+    return rec
 
 
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
-    """Weight of a general curve type: closed product if transverse, else the
-    sum over shift resolutions, evaluated recursively.  Each resolution must
-    have fewer internal edges per non-transverse replacement than t
-    (DepthExceeded otherwise), which bounds the depth by t.n_internal."""
+    """Weight of a general curve type: multiplicity times the vertex weights
+    if transverse, else the sum over shift resolutions of index times the
+    replacement weights over their automorphisms, evaluated recursively."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
-    key = (t.canonical_key(), order, mode, seed)
-    hit = _WEIGHT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    comps = t.component_types()
-    if len(comps) > 1:
-        acc = None
-        for c in comps:
-            w = curve_weight(c, order, mode, seed)
-            acc = w if acc is None else acc * w
-        _WEIGHT_MEMO[key] = acc
-        return acc
-    if not is_general(t):
-        raise ValueError("curve weights are defined for general curves only")
-    if is_transverse(t):
-        w = transverse_weight(t, order, mode)
-        _WEIGHT_MEMO[key] = w
+    rec = _derivation(t, seed)
+    w = rec.weights.get((order, mode))
+    if w is not None:
         return w
-    resolutions = _resolutions(t, seed)
-    for r in resolutions:
-        for part in r.vertex_types:
-            if not is_transverse(part) and part.n_internal >= t.n_internal:
-                raise DepthExceeded(
-                    "resolution did not reduce the internal edge count")
-    total = (LaurentSeries.zero(order) if mode == "lambda"
-             else QHalfLaurent.zero())
-    for r in resolutions:
-        prod = (LaurentSeries.monomial(r.index, 0, order) if mode == "lambda"
-                else QHalfLaurent.monomial(r.index, 0))
-        for part in r.vertex_types:
-            w = curve_weight(part, order, mode, seed)
-            aut = automorphism_count(part)
-            prod = prod * w
-            if aut != 1:
-                prod = prod.scale(Fraction(1, aut))
-        total = total + prod
-    _WEIGHT_MEMO[key] = total
-    return total
+    one = LaurentSeries.one(order) if mode == "lambda" else QHalfLaurent.one()
+    if rec.kind == "disconnected":
+        for c in rec.parts:
+            cw = curve_weight(c, order, mode, seed)
+            w = cw if w is None else w * cw
+    elif rec.kind == "transverse":
+        w = one.scale(rec.multiplicity)
+        for n in rec.parts:
+            w = w * _vertex_weight(n, order, mode)
+    else:
+        w = one.scale(0)
+        for index, parts in rec.parts:
+            prod = one.scale(index)
+            for part, aut in parts:
+                prod = prod * curve_weight(part, order, mode, seed)
+                if aut != 1:
+                    prod = prod.scale(Fraction(1, aut))
+            w = w + prod
+    rec.weights[(order, mode)] = w
+    return w
 
 
 def weight_trace(t: CurveType, seed: int = 0) -> dict:
-    """Derivation record of curve_weight: the resolution tree with indices.
+    """The derivation of curve_weight as a tree: components, or multiplicity
+    and vertex wedges, or the resolutions with their indices.
 
-    Mirrors the recursion without recomputing anything (values come from the
-    same memoized calls), so it is cheap to emit after a weight query.
+    It reads the record the weight was evaluated from, so it is cheap to
+    emit after a weight query.
     """
+    rec = _derivation(t, seed)
     node: dict = {"ends": [list(d) for _, d, _ in
                            sorted(t.external_edges, key=lambda e: e[2])],
-                  "internal_edges": t.n_internal}
-    comps = t.component_types()
-    if len(comps) > 1:
-        node["kind"] = "disconnected"
-        node["components"] = [weight_trace(c, seed) for c in comps]
-        return node
-    if is_transverse(t):
-        node["kind"] = "transverse"
-        node["multiplicity"] = multiplicity(t)
-        node["vertex_wedges"] = []
-        for v in t.vertices:
-            star = vertex_star(t, v).star
-            ends = [d for _, d, _ in star.external_edges]
-            kind, n = _classify_star(ends)
-            node["vertex_wedges"].append(n if kind == "wedge" else "marker")
-        return node
-    node["kind"] = "resolved"
-    node["resolutions"] = []
-    for r in _resolutions(t, seed):
-        node["resolutions"].append({
-            "index": r.index,
-            "vertex_automorphisms": [automorphism_count(p) for p in r.vertex_types],
-            "vertex_curves": [weight_trace(p, seed) for p in r.vertex_types],
-        })
+                  "internal_edges": t.n_internal, "kind": rec.kind}
+    if rec.kind == "disconnected":
+        node["components"] = [weight_trace(c, seed) for c in rec.parts]
+    elif rec.kind == "transverse":
+        node.update(multiplicity=rec.multiplicity, vertex_wedges=list(rec.parts))
+    else:
+        node["resolutions"] = [{
+            "index": index,
+            "vertex_automorphisms": [aut for _, aut in parts],
+            "vertex_curves": [weight_trace(p, seed) for p, _ in parts],
+        } for index, parts in rec.parts]
     return node
 
 

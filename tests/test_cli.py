@@ -87,6 +87,25 @@ class TestCount:
         for c in doc["trace"]:
             assert set(c) >= {"type", "stratum", "index", "aut", "weight"}
 
+    def test_request_bounds_hold_unless_overridden(self, tmp_path, capsys):
+        # with no internal edge allowed the family-1 count has no type
+        doc = json.loads((DATA / "s3_family1_configA.json").read_text())
+        doc["bounds"]["max_internal_edges"] = 0
+        f = tmp_path / "request.json"
+        f.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "count", str(f), "--order", "6",
+                           "--seed", "2", "--format", "json")
+        assert code == 0
+        got = json.loads(out)
+        assert got["value"]["coefficients"] == []
+        assert got["bounds"] == dict(doc["bounds"], seed=2)
+        code, out, _ = run(capsys, "count", str(f), "--order", "6",
+                           "--max-internal-edges", "8", "--format", "json")
+        assert code == 0
+        got = json.loads(out)
+        assert got["value"]["coefficients"] != []
+        assert got["bounds"]["max_internal_edges"] == 8
+
     def test_byte_identical_reruns(self, capsys):
         args = ("count", data_path("s3_family3_n3_configA.json"),
                 "--order", "8", "--seed", "3", "--format", "json")
@@ -220,6 +239,35 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "unknown mode" in err
+
+    @pytest.mark.parametrize("degree", ["1", 1.0])
+    def test_non_integer_relative_degree_is_exit_2(self, tmp_path, capsys,
+                                                   degree):
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["degrees"][0] = degree
+        f = tmp_path / "relative_degree.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert "degrees must be integers" in err
+
+    def test_plane_coordinate_out_of_range_is_exit_2(self, tmp_path, capsys):
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["constraints"]["1"] = ["plane", 5, 0]
+        f = tmp_path / "relative_plane.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert "plane coordinate" in err
+
+    def test_non_integer_seed_variable_is_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("TROPGW_SEED", "abc")
+        code, out, err = run(capsys, "fgamma", data_path("vertex_wedge1.json"))
+        assert code == 2
+        assert out == ""
+        assert "TROPGW_SEED" in err
 
     def test_non_integer_special_rays_are_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA / "cp3.json").read_text())

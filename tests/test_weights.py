@@ -178,8 +178,34 @@ class TestResolutions:
 
         weights.clear_caches()
         monkeypatch.setattr(weights, "resolve_with_shifts", counted)
-        weights._resolutions(gamma_mu(4, (1, 1, 1, 1)), 15)
+        weights._derivation(gamma_mu(4, (1, 1, 1, 1)), 15)
         assert len(calls) == 1
+
+    def test_second_mode_and_trace_reuse_the_derivation(self, monkeypatch):
+        # the lambda weight classifies and resolves the type and its parts;
+        # the q weight and the trace only read what it found
+        t = gamma_mu(3, (2, 1))
+        calls = {}
+
+        def counted(name):
+            fn = getattr(weights, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(weights, name, wrapper)
+
+        names = ("is_general", "is_transverse", "multiplicity",
+                 "resolve_with_shifts", "automorphism_count")
+        for name in names:
+            counted(name)
+        weights.clear_caches()
+        curve_weight(t, K, "lambda", 5)
+        assert all(calls.get(name) for name in names), calls
+        calls.clear()
+        curve_weight(t, K, "q", 5)
+        weights.weight_trace(t, 5)
+        assert calls == {}
 
 
 class TestCurveWeight:
