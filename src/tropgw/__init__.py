@@ -5,8 +5,8 @@ from .exactnum import (GaussRational, LaurentSeries, QHalfLaurent,
                        two_sin_half)
 from .lattice import (INFINITE, IntMatrix, direct_sum_index, integral_kernel,
                       lattice_index, primitive_part, quotient_projection,
-                      smith_normal_form, wedge_index)
-from .tropcurve import (CurveType, DeformationSpace, PlacedCurve,
+                      wedge_index)
+from .tropcurve import (CurveType, PlacedCurve,
                         automorphism_count, deformation_space, genus,
                         is_general, is_transverse, loop_multiplicity,
                         multiplicity, vertex_star)

@@ -136,6 +136,26 @@ PointConstraint = tuple  # ("point", (x, y, z))
 PlaneConstraint = tuple  # ("plane", coord, value)
 
 
+def _check_constraint(con) -> None:
+    """Refuse a constraint that is not ("point", three coordinates) or
+    ("plane", coordinate 0-2, value) with int or Fraction entries: a float
+    or bool would silently be read as an exact binary fraction."""
+    def _exact(x) -> bool:
+        return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+    kind = con[0] if isinstance(con, (tuple, list)) and con else None
+    if (kind == "point" and len(con) == 2 and isinstance(con[1], (tuple, list))
+            and len(con[1]) == 3 and all(map(_exact, con[1]))):
+        return
+    if kind == "plane" and len(con) == 3 and type(con[1]) is int and _exact(con[2]):
+        if con[1] in (0, 1, 2):
+            return
+        raise ValueError(f"plane coordinate must be 0, 1 or 2, got {con[1]!r}")
+    raise ValueError(
+        "a constraint is [\"point\", [x, y, z]] or [\"plane\", coordinate, value]"
+        f" with integer or fraction entries, got {con!r}")
+
+
 def cycle_from_constraints(ends: Sequence[IntVec3],
                            constraints: dict[int, tuple]) -> ConstraintCycle:
     """Build the product cycle for per-end affine constraints.
@@ -145,6 +165,8 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
     evaluation block.  A plane constraint on a nonzero end must contain the
     end's direction, otherwise it cuts nothing out and is rejected.
     """
+    for con in constraints.values():
+        _check_constraint(con)
     layout = evaluation_layout([tuple(e) for e in ends])
     base: list[Fraction] = []
     span_cols: list[list[int]] = []
@@ -168,10 +190,8 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
             push_cols(IntMatrix.identity(size).columns(), off)
         elif con[0] == "point":
             base.extend(block.mul_vec([Fraction(x) for x in con[1]]))
-        elif con[0] == "plane":
+        else:
             _, coord, value = con
-            if coord not in (0, 1, 2):
-                raise ValueError(f"plane coordinate must be 0, 1 or 2, got {coord!r}")
             if d[coord] != 0:
                 raise ValueError(
                     f"plane x_{coord}={value} does not constrain an end of derivative {d}")
@@ -179,8 +199,6 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
                                        for i in range(3)]))
             dirs = [c for j, c in enumerate(block.columns()) if j != coord]
             push_cols(saturation([c for c in dirs if any(c)], size).columns(), off)
-        else:
-            raise ValueError(f"unknown constraint {con[0]!r}")
     span = IntMatrix.from_cols(span_cols, rows_hint=total)
     return ConstraintCycle(total, (Stratum(tuple(base), span, Fraction(1)),))
 

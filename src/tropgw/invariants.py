@@ -20,7 +20,7 @@ from typing import Sequence
 from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
 from .lattice import (INFINITE, IntMatrix, InvariantError, direct_sum_index,
-                      invariant_factors, primitive_part)
+                      lattice_index, primitive_part)
 from .enumeration import (
     ConstraintCycle,
     SearchBounds,
@@ -76,11 +76,11 @@ class ToricFan:
                         tuple(sorted(cones)), frozenset(special))
 
     def is_smooth(self) -> bool:
-        for c in self.cones:
-            m = IntMatrix.from_cols([self.rays[i] for i in c], rows_hint=3)
-            if invariant_factors(m) != tuple([1] * len(c)):
-                return False
-        return True
+        # a cone is smooth when its rays extend to a basis of Z^3, that is
+        # when its ray rows map Z^3 onto Z^(rays)
+        return all(
+            lattice_index(IntMatrix.from_rows([self.rays[i] for i in c])) == 1
+            for c in self.cones)
 
     def to_json(self) -> dict:
         return {"rays": [list(r) for r in self.rays],

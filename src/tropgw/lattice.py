@@ -1,20 +1,20 @@
 """Exact integer and rational linear algebra.
 
-One fraction-free elimination kernel (Bareiss's integer-preserving
-Gauss-Jordan step) serves every solve, rank, null basis and determinant, in
-integers over one common denominator.  Smith normal form is kept only where
-its transforms or an index are needed: lattice indices and saturated
-integral kernels.  Besides these: primitive vectors, wedge indices and the
-canonical rank-2 quotient projections.  Matrices are tiny (tens of rows at
-most), so everything is plain arbitrary-precision arithmetic with no
-sparsity tricks.
+Two kernels, one per kind of question.  One fraction-free elimination
+(Bareiss's integer-preserving Gauss-Jordan step) serves every rational
+question: solves, ranks, null bases and determinants, in integers over one
+common denominator.  One unimodular column reduction serves every lattice
+question: lattice indices, saturated integral kernels and the canonical
+rank-2 quotient projections.  Besides these: primitive vectors and wedge
+indices.  Matrices are tiny (tens of rows at most), so everything is plain
+arbitrary-precision arithmetic with no sparsity tricks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -104,112 +104,54 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*m*V = D, D diagonal with d1 | d2 | ..., U, V unimodular."""
-    a = [list(r) for r in m.entries]
-    R, C = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(R)] for i in range(R)]
-    v = [[1 if i == j else 0 for j in range(C)] for i in range(C)]
+def _column_reduce(rows: Sequence[Sequence[int]],
+                   ncols: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Unimodular column reduction of an integer matrix, one row at a time.
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    In each row, the free (not yet pivot) columns with a nonzero entry are
+    reduced against the one of least absolute value, lowest index on ties,
+    by floor quotients, until one is left: that column becomes the row's
+    pivot.  A row whose free entries are all zero has no pivot.  The same
+    column operations build a unimodular v with m*v in column echelon form
+    (H. Cohen, A Course in Computational Algebraic Number Theory, 2.4).
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while True:
-        # locate the smallest nonzero entry in the trailing block
-        pivot = None
-        for i in range(t, R):
-            for j in range(t, C):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        # clear row and column t; pivot may move as remainders shrink
-        while True:
-            moved = False
-            for i in range(t + 1, R):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        moved = True
-            for j in range(t + 1, C):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        moved = True
-            if not moved and all(a[i][t] == 0 for i in range(t + 1, R)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, C)):
-                break
-        # divisibility: pivot must divide the rest of the block
-        fixed = False
-        for i in range(t + 1, R):
-            for j in range(t + 1, C):
-                if a[i][j] % a[t][t] != 0:
-                    # fold row i into row t and redo this pivot
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    u[t] = [x + y for x, y in zip(u[t], u[i])]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-        if t >= min(R, C):
-            break
-    return (IntMatrix.from_rows(a, cols_hint=C),
-            IntMatrix.from_rows(u, cols_hint=R),
-            IntMatrix.from_rows(v, cols_hint=C))
-
-
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    d, _, _ = smith_normal_form(m)
-    out = []
-    for i in range(min(m.rows, m.cols)):
-        if d.entries[i][i] != 0:
-            out.append(d.entries[i][i])
-    return tuple(out)
+    Returns (pivots, v): the (column, entry) pivot of each row that has one,
+    in row order, and the columns of v.  The columns of v never used as a
+    pivot are a basis of the integral kernel of m.
+    """
+    nrows = len(rows)
+    # column j of m with column j of v below it, so one update moves both
+    cols = [[r[j] for r in rows] + [0] * ncols for j in range(ncols)]
+    for j in range(ncols):
+        cols[j][nrows + j] = 1
+    free = list(range(ncols))
+    pivots: list[tuple[int, int]] = []
+    for i in range(nrows):
+        live = [j for j in free if cols[j][i]]
+        while len(live) > 1:
+            p = min(live, key=lambda j: (abs(cols[j][i]), j))
+            pcol = cols[p]
+            for j in live:
+                q = cols[j][i] // pcol[i]
+                if j != p and q:
+                    cols[j] = [x - q * y for x, y in zip(cols[j], pcol)]
+            live = [j for j in live if cols[j][i]]
+        if live:
+            free.remove(live[0])
+            pivots.append((live[0], cols[live[0]][i]))
+    return pivots, [c[nrows:] for c in cols]
 
 
 def lattice_index(m: IntMatrix) -> int | _Infinite:
     """Index of the column span of m inside the full integer lattice of its rows.
 
     Finite exactly when m has full row rank; then it is the product of the
-    invariant factors.
+    absolute pivot entries of the column echelon form.
     """
-    facs = invariant_factors(m)
-    if len(facs) < m.rows:
+    pivots, _ = _column_reduce(m.entries, m.cols)
+    if len(pivots) < m.rows:
         return INFINITE
-    out = 1
-    for f in facs:
-        out *= f
-    return out
+    return prod(abs(x) for _, x in pivots)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -263,37 +205,21 @@ def wedge_index(a: Sequence[int], b: Sequence[int]) -> int:
 def quotient_projection(alpha: Sequence[int]) -> IntMatrix:
     """The canonical 2x3 projection killing alpha and mapping Z^3 onto Z^2.
 
-    Deterministic in primitive_part(alpha): the primitive vector is reduced to
-    a coordinate vector by tracked integer row operations with a fixed pivot
-    rule, and the two untouched basis rows become the projection.
+    Deterministic in primitive_part(alpha): the column reduction of the one
+    row primitive_part(alpha) leaves two non-pivot columns of its unimodular
+    transform, and these, in cyclic order after the pivot, are the rows.
     """
     p, _ = primitive_part(alpha)
-    vec = list(p)
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    while sum(1 for x in vec if x != 0) > 1:
-        piv = min((i for i in range(3) if vec[i] != 0), key=lambda i: (abs(vec[i]), i))
-        for j in range(3):
-            if j != piv and vec[j] != 0:
-                q = vec[j] // vec[piv]
-                if q != 0:
-                    vec[j] -= q * vec[piv]
-                    rows[j] = [x - q * y for x, y in zip(rows[j], rows[piv])]
-    piv = next(i for i in range(3) if vec[i] != 0)
-    if vec[piv] < 0:
-        rows[piv] = [-x for x in rows[piv]]
-    # rotate the pivot row to the front, keeping the cyclic order of the rest
-    order = [(piv + i) % 3 for i in range(3)]
-    return IntMatrix.from_rows([rows[order[1]], rows[order[2]]])
+    ((piv, _),), v = _column_reduce([p], 3)
+    return IntMatrix.from_rows([v[(piv + 1) % 3], v[(piv + 2) % 3]])
 
 
 def integral_kernel(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the saturated integral kernel of m."""
-    if m.cols == 0:
-        return IntMatrix.zero(0, 0)
-    d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(m.rows, m.cols)) if d.entries[i][i] != 0)
-    cols = [v.col(j) for j in range(r, m.cols)]
-    return IntMatrix.from_cols(cols, rows_hint=m.cols)
+    pivots, v = _column_reduce(m.entries, m.cols)
+    used = {j for j, _ in pivots}
+    return IntMatrix.from_cols([c for j, c in enumerate(v) if j not in used],
+                               rows_hint=m.cols)
 
 
 def saturation(cols: Sequence[IntVec], ambient_dim: int) -> IntMatrix:

@@ -214,15 +214,6 @@ class CurveType:
 # -- moduli ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationSpace:
-    """Solution space of the edge equations, with its integral tangent lattice."""
-
-    matrix: IntMatrix          # 3k rows, 3*n_vertices + k columns
-    lattice: IntMatrix         # columns: saturated integral kernel
-    dimension: int
-
-
 def edge_equation_matrix(t: CurveType) -> IntMatrix:
     """The 3k x (3n + k) system: x_head - x_tail - d*l = 0 per internal edge."""
     vindex = {v: i for i, v in enumerate(t.vertices)}
@@ -238,10 +229,10 @@ def edge_equation_matrix(t: CurveType) -> IntMatrix:
     return IntMatrix.from_rows(rows, cols_hint=3 * nv + k)
 
 
-def deformation_space(t: CurveType) -> DeformationSpace:
-    a = edge_equation_matrix(t)
-    ker = integral_kernel(a)
-    return DeformationSpace(a, ker, ker.cols)
+def deformation_space(t: CurveType) -> IntMatrix:
+    """The integral tangent lattice of the type: its columns are a basis of
+    the saturated integral kernel of the edge equations."""
+    return integral_kernel(edge_equation_matrix(t))
 
 
 def genus(t: CurveType) -> int:
@@ -387,9 +378,8 @@ def evaluation_matrix(t: CurveType) -> tuple[IntMatrix, EvaluationLayout]:
 
 def evaluation_image(t: CurveType) -> IntMatrix:
     """Columns: image of the integral tangent lattice under the evaluation map."""
-    ds = deformation_space(t)
     ev, _ = evaluation_matrix(t)
-    return ev.mul(ds.lattice)
+    return ev.mul(deformation_space(t))
 
 
 def is_general(t: CurveType) -> bool:

@@ -275,7 +275,7 @@ class _ResolutionSolver:
         for r in reps:
             kern = self.kernels.get(id(r))
             if kern is None:
-                kern = self.kernels[id(r)] = deformation_space(r).lattice
+                kern = self.kernels[id(r)] = deformation_space(r)
             kerns.append(kern)
             offs.append(ncols)
             ncols += kern.cols

@@ -262,6 +262,28 @@ class TestMalformedInput:
         assert out == ""
         assert "plane coordinate" in err
 
+    @pytest.mark.parametrize("constraint", [
+        ["point"],
+        [],
+        ["point", [1.1, 0, 0]],
+        ["point", [True, 0, 0]],
+        ["point", [0, 0, 0], 1],
+        ["plane", 0.0, 0],
+        ["plane", 2, 1.5],
+    ])
+    def test_malformed_relative_constraint_is_exit_2(self, tmp_path, capsys,
+                                                     constraint):
+        # a missing coordinate used to raise IndexError, and a float or bool
+        # coordinate was read as a binary fraction without notice
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["constraints"]["1"] = constraint
+        f = tmp_path / "relative_constraint.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert "a constraint is" in err
+
     def test_non_integer_seed_variable_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPGW_SEED", "abc")
         code, out, err = run(capsys, "fgamma", data_path("vertex_wedge1.json"))

@@ -39,6 +39,18 @@ class TestFans:
         assert cp3_fan().is_smooth()
         assert p1_cubed_fan().is_smooth()
 
+    def test_singular_fan_is_not_smooth(self):
+        # the weighted projective space P(1,1,1,2): a complete fan, but the
+        # cone {0, 1, 3} has determinant -2
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)]
+        fan = ToricFan.from_max_cones(
+            rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+        assert is_convex(fan)
+        assert not fan.is_smooth()
+        assert not ToricFan.from_max_cones(rays, [(0, 1, 3)]).is_smooth()
+        assert ToricFan.from_max_cones(rays, [(0, 1, 2), (0, 2, 3),
+                                              (1, 2, 3)]).is_smooth()
+
     def test_nonprimitive_ray_rejected(self):
         with pytest.raises(ValueError):
             ToricFan.from_max_cones([(2, 0, 0)], [(0,)])

@@ -1,12 +1,13 @@
 import ast
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 from sympy import ZZ, Matrix, Rational
-from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 import tropgw
 from tropgw.lattice import (
@@ -20,11 +21,17 @@ from tropgw.lattice import (
     quotient_projection,
     rational_rank,
     saturation,
-    smith_normal_form,
     solve_integral,
     solve_rational,
     wedge_index,
 )
+
+
+def sympy_factors(m: IntMatrix) -> tuple[int, ...]:
+    """Absolute invariant factors of m from sympy, zeros included: one per
+    min(rows, cols)."""
+    return tuple(abs(int(x)) for x in sympy_invariant_factors(
+        Matrix(m.rows, m.cols, [x for r in m.entries for x in r]), domain=ZZ))
 
 
 def brute_force_quotient_size(m: IntMatrix, box: int) -> int:
@@ -48,38 +55,6 @@ def brute_force_quotient_size(m: IntMatrix, box: int) -> int:
     total = box ** rows
     assert total % len(seen) == 0
     return total // len(seen)
-
-
-class TestSmith:
-    def test_identity(self):
-        d, u, v = smith_normal_form(IntMatrix.identity(3))
-        assert d == IntMatrix.identity(3)
-
-    def test_diag_2_3(self):
-        d, _, _ = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
-        assert d == IntMatrix.from_rows([[1, 0], [0, 6]])
-
-    def test_zero(self):
-        d, _, _ = smith_normal_form(IntMatrix.zero(2, 3))
-        assert d == IntMatrix.zero(2, 3)
-
-    @given(st.integers(1, 4), st.integers(1, 4), st.randoms(use_true_random=False))
-    def test_random_decomposition(self, r, c, rng):
-        m = IntMatrix.from_rows(
-            [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
-        d, u, v = smith_normal_form(m)
-        assert u.mul(m).mul(v) == d
-        assert abs(determinant(u)) == 1
-        assert abs(determinant(v)) == 1
-        diag = [d.entries[i][i] for i in range(min(r, c))]
-        for i in range(r):
-            for j in range(c):
-                if i != j:
-                    assert d.entries[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0
-            if a != 0 and b != 0:
-                assert b % a == 0
 
 
 class TestLatticeIndex:
@@ -173,8 +148,29 @@ class TestQuotientProjection:
     def test_diagonal_direction(self):
         p = quotient_projection((1, 1, 1))
         assert p.mul_vec((1, 1, 1)) == (0, 0)
-        d, _, _ = smith_normal_form(p)
-        assert (d.entries[0][0], d.entries[1][1]) == (1, 1)
+        assert sympy_factors(p) == (1, 1)
+
+    # The evaluation coordinates of every end, and so the cycle bases of
+    # stored count requests, are these matrices: they must never move.  The
+    # vectors put the pivot of the primitive part in each position with
+    # either sign, and most of them need several reduction steps.
+    @pytest.mark.parametrize("alpha, rows", [
+        ((1, 0, 0), [[0, 1, 0], [0, 0, 1]]),
+        ((-1, 0, 0), [[0, 1, 0], [0, 0, 1]]),
+        ((0, -1, 0), [[0, 0, 1], [1, 0, 0]]),
+        ((0, 1, 0), [[0, 0, 1], [1, 0, 0]]),
+        ((0, 0, 5), [[1, 0, 0], [0, 1, 0]]),
+        ((0, 0, -5), [[1, 0, 0], [0, 1, 0]]),
+        ((3, -2, 1), [[1, 0, -3], [0, 1, 2]]),
+        ((-5, 0, 3), [[0, 1, 0], [-3, 0, -5]]),
+        ((2, 3, 5), [[-1, -1, 1], [3, -2, 0]]),
+        ((0, 4, -6), [[1, 0, 0], [0, -3, -2]]),
+        ((7, 7, 7), [[-1, 1, 0], [-1, 0, 1]]),
+        ((-3, 5, -7), [[-4, -1, 1], [-5, -3, 0]]),
+        ((6, -4, 0), [[-2, -3, 0], [0, 0, 1]]),
+    ])
+    def test_pinned_projections(self, alpha, rows):
+        assert quotient_projection(alpha) == IntMatrix.from_rows(rows)
 
     def test_kernel_and_surjectivity_sweep(self):
         for a in range(-4, 5):
@@ -184,8 +180,7 @@ class TestQuotientProjection:
                         continue
                     p = quotient_projection((a, b, c))
                     assert p.mul_vec((a, b, c)) == (0, 0)
-                    d, _, _ = smith_normal_form(p)
-                    assert d.entries[0][0] == 1 and d.entries[1][1] == 1
+                    assert sympy_factors(p) == (1, 1)
 
     def test_deterministic(self):
         for v in [(3, -2, 1), (0, 4, -6), (7, 7, 7)]:
@@ -211,13 +206,11 @@ class TestIntegralKernel:
         k = integral_kernel(m)
         for col in k.columns():
             assert m.mul_vec(col) == (0,) * r
-            from math import gcd
-            g = 0
-            for x in col:
-                g = gcd(g, abs(x))
-            assert g in (0, 1) or k.cols > 1  # a basis column may be non-primitive
-        # saturation: rank of kernel equals cols - rank(m)
+        # a basis of the whole rational kernel ...
         assert k.cols == c - rational_rank(m.entries)
+        # ... whose span is saturated: Z^c / span is torsion-free
+        if k.cols:
+            assert set(sympy_factors(k)) == {1}
 
 
 class TestRationalSolvers:
@@ -322,11 +315,13 @@ class TestAgainstSympy:
         assert determinant(IntMatrix.from_rows(rows)) == _sym(rows).det()
 
     @given(_matrices(entries=st.integers(-6, 6)))
-    def test_smith_normal_form_matches(self, rows):
-        d, _, _ = smith_normal_form(IntMatrix.from_rows(rows))
-        want = sympy_smith_normal_form(Matrix(rows), domain=ZZ)
-        k = min(len(rows), len(rows[0]))
-        assert [d.entries[i][i] for i in range(k)] == [abs(want[i, i]) for i in range(k)]
+    def test_lattice_index_matches_invariant_factors(self, rows):
+        m = IntMatrix.from_rows(rows)
+        idx = lattice_index(m)
+        if Matrix(rows).rank() < len(rows):
+            assert idx is INFINITE
+        else:
+            assert idx == prod(sympy_factors(m))
 
 
 def test_package_has_no_bare_assert():
