@@ -19,7 +19,6 @@ from .lattice import (
     IntMatrix,
     InvariantError,
     primitive_part,
-    quotient_projection,
     rational_rank,
     saturation,
     solve_integral,
@@ -30,11 +29,12 @@ from .tropcurve import (
     CurveType,
     IntVec3,
     PlacedCurve,
+    _evaluation_blocks,
+    _evaluation_rows,
+    _is_general,
+    _tree_system,
     _vec3,
-    edge_equation_matrix,
     evaluation_layout,
-    evaluation_matrix,
-    is_general,
 )
 
 
@@ -112,14 +112,24 @@ class ConstraintCycle:
 
     @staticmethod
     def from_json(d: dict) -> "ConstraintCycle":
+        dim = d["ambient_dim"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"ambient_dim must be a non-negative integer, "
+                             f"got {dim!r}")
         strata = []
         for s in d["strata"]:
             base = tuple(_fraction(b, "base") for b in s["base"])
-            span = IntMatrix.from_cols([tuple(c) for c in s["spanning"]],
-                                       rows_hint=d["ambient_dim"])
+            cols = s["spanning"]
+            # int() would read 1.5, "1" or true as 1 without notice
+            if not (isinstance(cols, list) and all(
+                    isinstance(c, list) and all(type(x) is int for x in c)
+                    for c in cols)):
+                raise ValueError(f"spanning must be a list of integer columns, "
+                                 f"got {cols!r}")
+            span = IntMatrix.from_cols(cols, rows_hint=dim)
             mult = _fraction(s["multiplicity"], "multiplicity")
             strata.append(Stratum(base, span, mult))
-        return ConstraintCycle(d["ambient_dim"], tuple(strata))
+        return ConstraintCycle(dim, tuple(strata))
 
 
 def _fraction(pair, what: str) -> Fraction:
@@ -163,9 +173,13 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
     constraints maps an end label to ("point", (x,y,z)) or
     ("plane", coord_index, value); unconstrained ends contribute their whole
     evaluation block.  A plane constraint on a nonzero end must contain the
-    end's direction, otherwise it cuts nothing out and is rejected.
+    end's direction, otherwise it cuts nothing out and is rejected, as is a
+    constraint on a label with no end.
     """
-    for con in constraints.values():
+    for label, con in constraints.items():
+        if type(label) is not int or not 1 <= label <= len(ends):
+            raise ValueError(f"constraint on label {label!r}, but the ends are "
+                             f"labeled 1..{len(ends)}")
         _check_constraint(con)
     layout = evaluation_layout([tuple(e) for e in ends])
     base: list[Fraction] = []
@@ -179,11 +193,10 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
                 col[offset + i] = x
             span_cols.append(col)
 
+    blocks = _evaluation_blocks(tuple(e) for e in ends)
     for label, off, size in layout.blocks:
         d = tuple(ends[label - 1])
-        # the end's evaluation block, as in evaluation_matrix
-        block = (IntMatrix.identity(3) if d == (0, 0, 0)
-                 else quotient_projection(d))
+        block = blocks[d]
         con = constraints.get(label)
         if con is None:
             base.extend([Fraction(0)] * size)
@@ -451,6 +464,7 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
 
     # bounds, dedupe, generality; keys of rejects are kept too, to skip
     # isomorphic copies
+    blocks = _evaluation_blocks(ends)
     kept: list[tuple] = []
     seen: set = set()
     for t in expanded:
@@ -462,7 +476,7 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
         if key in seen:
             continue
         seen.add(key)
-        if not is_general(t):
+        if not _is_general(t, blocks):
             continue
         kept.append((key, t))
     kept.sort(key=lambda kt: kt[0])
@@ -558,29 +572,27 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
     family, so the placement is discarded.  A kept placement records the
     tied edges, which its check() then accepts at length 0.
     """
-    a = edge_equation_matrix(t)
-    ev, layout = evaluation_matrix(t)
-    if layout.total != cycle.ambient_dim:
+    n_roots, ncols, forms, loops = _tree_system(t)
+    ev = _evaluation_rows(
+        t, forms, _evaluation_blocks(d for _, d, _ in t.external_edges))
+    if len(ev) != cycle.ambient_dim:
         raise ValueError("cycle ambient dimension does not match the ends")
-    nv, k = t.n_vertices, t.n_internal
     out = []
     for si, stratum in enumerate(cycle.strata):
-        rows = [list(r) + [0] * stratum.span.cols for r in a.entries]
-        rows += [list(r) + [-x for x in s]
-                 for r, s in zip(ev.entries, stratum.span.entries)]
-        sol = solve_rational(rows, [0] * a.rows + list(stratum.base))
+        rows = [r + [0] * stratum.span.cols for r in loops]
+        rows += [r + [-x for x in sr] for r, sr in zip(ev, stratum.span.entries)]
+        sol = solve_rational(rows, [0] * len(loops) + list(stratum.base))
         if sol is None or sol[1]:
             continue
-        part = sol[0]
-        lengths = {i: part[3 * nv + i] for i in range(k)}
+        part = sol[0][:ncols]
+        lengths = {i: part[n_roots + i] for i in range(t.n_internal)}
         if any(l < 0 for l in lengths.values()):
             continue
         tied = frozenset(i for i, l in lengths.items() if l == 0)
-        if tied and not _ties_positive(rows, a.rows, 3 * nv, tied):
+        if tied and not _ties_positive(rows, len(loops), n_roots, tied):
             continue
-        positions = {
-            v: (part[3 * i], part[3 * i + 1], part[3 * i + 2])
-            for i, v in enumerate(t.vertices)}
+        positions = {v: tuple(sum(a * x for a, x in zip(r, part)) for r in forms[v])
+                     for v in t.vertices}
         placed = PlacedCurve(t, positions, lengths, tied)
         if not placed.check():
             raise InvariantError("solved placement violates its edge equations")
@@ -588,11 +600,11 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
     return out
 
 
-def _ties_positive(rows, n_edge_rows: int, first_length: int, tied) -> bool:
+def _ties_positive(rows, n_loop_rows: int, first_length: int, tied) -> bool:
     """Whether every tied length is positive at the eps-moved base; the
     solve's column j is the eps^(j+1)-coefficient times its den > 0."""
-    n_ev = len(rows) - n_edge_rows
-    eps_cols = [[0] * n_edge_rows + [int(i == j) for i in range(n_ev)]
+    n_ev = len(rows) - n_loop_rows
+    eps_cols = [[0] * n_loop_rows + [int(i == j) for i in range(n_ev)]
                 for j in range(n_ev)]
     sol = solve_integral(rows, eps_cols)
     if sol is None:

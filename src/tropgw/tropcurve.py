@@ -241,9 +241,97 @@ def genus(t: CurveType) -> int:
     return t.n_internal - t.n_vertices + 1
 
 
+def _evaluation_blocks(ends: Iterable[IntVec3]) -> dict[IntVec3, IntMatrix]:
+    """The evaluation block of each distinct end derivative: the identity on
+    the attached vertex position for a zero derivative, else the projection
+    killing the derivative (the position of the end's line, not the point)."""
+    return {d: IntMatrix.identity(3) if d == (0, 0, 0) else quotient_projection(d)
+            for d in set(ends)}
+
+
+_Positions = dict[int, tuple[list[int], ...]]   # vertex -> 3 coordinate rows
+
+
+def _tree_system(t: CurveType) -> tuple[int, int, _Positions, list[list[int]]]:
+    """The edge equations of t in spanning-forest coordinates, as (n_roots,
+    ncols, positions, loops).
+
+    Each component is walked breadth-first from its first vertex in
+    t.vertices order.  The ncols unknowns are 3 root coordinates per
+    component, then one length per internal edge: length j is column
+    n_roots + j.  positions maps each vertex to its 3 coordinate rows, its
+    root plus the sum of +-d_e * l_e along its tree path, so the tree edges
+    hold identically; every other edge leaves the 3 loop rows
+    x_head - x_tail - d * l = 0, which have no root column.  The change of
+    unknowns is invertible over Z, so ranks, unique solutions and the
+    integral kernel lattice are those of the full edge system.
+    """
+    adj: dict[int, list] = {v: [] for v in t.vertices}
+    for e, (tail, head, _) in enumerate(t.internal_edges):
+        adj[tail].append((head, e, 1))
+        adj[head].append((tail, e, -1))
+    # step[w] = (component, parent, edge, sign): x_w = x_parent + sign*d*l
+    step: dict[int, tuple] = {}
+    order: list[int] = []
+    n_comp = 0
+    for root in t.vertices:
+        if root in step:
+            continue
+        step[root] = (n_comp, None, 0, 0)
+        n_comp += 1
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for w, e, s in adj[v]:
+                if w not in step:
+                    step[w] = (step[v][0], v, e, s)
+                    order.append(w)
+    n_roots = 3 * n_comp
+    ncols = n_roots + t.n_internal
+    positions: _Positions = {}
+    tree = set()
+    for v in order:
+        comp, parent, e, s = step[v]
+        if parent is None:
+            rows = tuple([0] * ncols for _ in range(3))
+            for c in range(3):
+                rows[c][3 * comp + c] = 1
+        else:
+            tree.add(e)
+            d = t.internal_edges[e][2]
+            rows = tuple(list(r) for r in positions[parent])
+            for c in range(3):
+                rows[c][n_roots + e] += s * d[c]
+        positions[v] = rows
+    loops = []
+    for e, (tail, head, d) in enumerate(t.internal_edges):
+        if e in tree:
+            continue
+        for c in range(3):
+            row = [a - b for a, b in zip(positions[head][c], positions[tail][c])]
+            row[n_roots + e] -= d[c]
+            loops.append(row)
+    return n_roots, ncols, positions, loops
+
+
+def _evaluation_rows(t: CurveType, positions: _Positions,
+                     blocks: dict[IntVec3, IntMatrix]) -> list[list[int]]:
+    """The end blocks in label order, blocks[d] for an end of derivative d,
+    applied to the tree position of the end's vertex."""
+    rows = []
+    for v, d, _ in sorted(t.external_edges, key=lambda end: end[2]):
+        at = list(zip(*positions[v]))
+        rows.extend([b0 * x + b1 * y + b2 * z for x, y, z in at]
+                    for b0, b1, b2 in blocks[d].entries)
+    return rows
+
+
 def is_transverse(t: CurveType) -> bool:
-    a = edge_equation_matrix(t)
-    return rational_rank(a.entries) == 3 * t.n_internal
+    """The edge equations have full row rank: so do the loop rows."""
+    *_, loops = _tree_system(t)
+    return rational_rank(loops) == len(loops)
 
 
 def multiplicity(t: CurveType) -> int:
@@ -259,64 +347,16 @@ def multiplicity(t: CurveType) -> int:
 def loop_multiplicity(t: CurveType) -> int:
     """Same index computed from the independent loop relations.
 
-    A maximal subtree of the internal edges eliminates the vertex positions;
-    each remaining edge closes a loop whose equation sum(+-d_e l_e) = 0
-    supplies one 3-row block.
+    The spanning tree of _tree_system eliminates the vertex positions; each
+    remaining edge closes a loop whose equation sum(+-d_e l_e) = 0 supplies
+    one 3-row block, full rank exactly when the curve is transverse.
     """
     if not t.is_connected():
         raise DisconnectedCurve("loop relations need a connected curve")
-    if not is_transverse(t):
-        raise ValueError("loop multiplicity requires a transverse curve")
-    vindex = {v: i for i, v in enumerate(t.vertices)}
-    k = t.n_internal
-    # build spanning tree
-    parent = {t.vertices[0]: None} if t.vertices else {}
-    tree_edges = set()
-    frontier = [t.vertices[0]] if t.vertices else []
-    adj = {v: [] for v in t.vertices}
-    for i, (tl, hd, d) in enumerate(t.internal_edges):
-        adj[tl].append((hd, i, 1))
-        adj[hd].append((tl, i, -1))
-    order = []
-    while frontier:
-        v = frontier.pop()
-        order.append(v)
-        for w, i, s in adj[v]:
-            if w not in parent:
-                parent[w] = (v, i, s)
-                tree_edges.add(i)
-                frontier.append(w)
-    rows = []
-    for i, (tl, hd, d) in enumerate(t.internal_edges):
-        if i in tree_edges:
-            continue
-        # loop: edge i from tail to head, then tree path head -> tail
-        coeffs = [0] * k
-        coeffs[i] += 1
-        # walk from head up to root, recording signed steps; same from tail;
-        # the difference is the path head -> tail
-        def path_to_root(v):
-            steps = []
-            while parent[v] is not None:
-                p, ei, s = parent[v]
-                steps.append((ei, s))
-                v = p
-            return steps
-        hsteps = path_to_root(hd)
-        tsteps = path_to_root(tl)
-        for ei, s in hsteps:
-            coeffs[ei] += s
-        for ei, s in tsteps:
-            coeffs[ei] -= s
-        for c in range(3):
-            rows.append([coeffs[e] * t.internal_edges[e][2][c] for e in range(k)])
-    g = genus(t)
-    if g == 0:
-        return 1
-    a = IntMatrix.from_rows(rows)
-    idx = lattice_index(a)
+    *_, loops = _tree_system(t)
+    idx = lattice_index(IntMatrix.from_rows(loops))
     if idx is INFINITE:
-        raise InvariantError("transverse curve must have full-rank loop system")
+        raise ValueError("loop multiplicity requires a transverse curve")
     return idx
 
 
@@ -351,50 +391,37 @@ def evaluation_layout(ends: Sequence[IntVec3]) -> EvaluationLayout:
     return EvaluationLayout(tuple(blocks))
 
 
-def evaluation_matrix(t: CurveType) -> tuple[IntMatrix, EvaluationLayout]:
-    """Linear map from the edge-equation unknowns to the evaluation space.
-
-    For a zero-derivative end the block records the attached vertex position;
-    otherwise it records the image of that position under the projection
-    killing the derivative (the position of the edge's line, not the point).
-    """
-    vindex = {v: i for i, v in enumerate(t.vertices)}
-    nv, k = t.n_vertices, t.n_internal
-    ends = [d for _, d, _ in sorted(t.external_edges, key=lambda e: e[2])]
-    layout = evaluation_layout(ends)
-    rows = []
-    for v, d, label in sorted(t.external_edges, key=lambda e: e[2]):
-        if d == (0, 0, 0):
-            block = IntMatrix.identity(3)
-        else:
-            block = quotient_projection(d)
-        for brow in block.entries:
-            row = [0] * (3 * nv + k)
-            for c in range(3):
-                row[3 * vindex[v] + c] = brow[c]
-            rows.append(row)
-    return IntMatrix.from_rows(rows, cols_hint=3 * nv + k), layout
-
-
 def evaluation_image(t: CurveType) -> IntMatrix:
-    """Columns: image of the integral tangent lattice under the evaluation map."""
-    ev, _ = evaluation_matrix(t)
-    return ev.mul(deformation_space(t))
+    """Columns: image of the integral tangent lattice under the evaluation map.
+
+    In forest coordinates the lattice is the integral kernel of the loop
+    rows, which keeps every root column as it is."""
+    _, ncols, positions, loops = _tree_system(t)
+    ev = _evaluation_rows(
+        t, positions, _evaluation_blocks(d for _, d, _ in t.external_edges))
+    kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
+    return IntMatrix.from_rows(ev, cols_hint=ncols).mul(kernel)
 
 
 def is_general(t: CurveType) -> bool:
     """Deformation dimension equals the number of ends and evaluation is injective.
 
-    Both are ranks: the kernel of the edge equations A has dimension n_ends,
-    and it meets the kernel of the evaluation map only in 0, that is A
-    stacked on the evaluation rows has full column rank.
+    Both are ranks on the forest system: the kernel of the loop rows has
+    dimension n_ends, and it meets the kernel of the evaluation map only in
+    0, that is the loop rows stacked on the evaluation rows have full column
+    rank.
     """
-    a = edge_equation_matrix(t)
-    ncols = 3 * t.n_vertices + t.n_internal
-    if rational_rank(a.entries) != ncols - t.n_ends:
+    return _is_general(
+        t, _evaluation_blocks(d for _, d, _ in t.external_edges))
+
+
+def _is_general(t: CurveType, blocks: dict[IntVec3, IntMatrix]) -> bool:
+    """is_general with the evaluation blocks of t's end derivatives given."""
+    _, ncols, positions, loops = _tree_system(t)
+    if rational_rank(loops) != ncols - t.n_ends:
         return False
-    ev, _ = evaluation_matrix(t)
-    return rational_rank(a.entries + ev.entries) == ncols
+    ev = _evaluation_rows(t, positions, blocks)
+    return rational_rank(loops + ev) == ncols
 
 
 # -- automorphisms ------------------------------------------------------------

@@ -226,6 +226,28 @@ class TestMalformedInput:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("spanning", 1.5),
+        ("spanning", "1"),
+        ("spanning", True),
+        ("ambient_dim", 8.0),
+        ("ambient_dim", "8"),
+    ])
+    def test_non_integer_cycle_entry_is_exit_2(self, tmp_path, capsys,
+                                               field, value):
+        # int() used to read each of these as the integer next to it
+        doc = json.loads((DATA / "s3_family1_configA.json").read_text())
+        if field == "spanning":
+            doc["cycle"]["strata"][0]["spanning"][0][1] = value
+        else:
+            doc["cycle"][field] = value
+        f = tmp_path / "request.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "count", str(f))
+        assert code == 2
+        assert out == ""
+        assert field in err
+
     def test_unknown_mode_is_exit_2(self, tmp_path, capsys):
         # two opposite ends have no general type, so no weight is ever
         # computed in the unknown mode: the request itself must be refused
@@ -283,6 +305,19 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "a constraint is" in err
+
+    @pytest.mark.parametrize("label", ["9", "0"])
+    def test_constraint_on_missing_label_is_exit_2(self, tmp_path, capsys,
+                                                   label):
+        # the request has six ends; the constraint used to be dropped
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["constraints"][label] = ["point", [5, 5, 5]]
+        f = tmp_path / "relative_label.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert "labeled 1..6" in err
 
     def test_non_integer_seed_variable_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPGW_SEED", "abc")

@@ -280,7 +280,32 @@ class TestRobustness:
                       for label, (_, pt) in cons.items()}
             base = count(ends, cons, seed=seed).value
             assert not base.is_zero()
-            assert count(ends_u, cons_u, seed=seed).value.agrees(base)
+            assert count(ends_u, cons_u, seed=seed).value == base
+
+    @pytest.mark.parametrize("p_seed", range(6))
+    def test_signed_permutation_invariance_with_planes(self, p_seed):
+        # a plane x_i = v stays a coordinate plane only under a signed
+        # permutation P: with P e_i = s e_j it becomes x_j = s v
+        rng = random.Random(p_seed)
+        perm = rng.sample(range(3), 3)
+        signs = [rng.choice((1, -1)) for _ in range(3)]
+
+        def act(x):
+            out = [0, 0, 0]
+            for i in range(3):
+                out[perm[i]] = signs[i] * x[i]
+            return tuple(out)
+
+        ends = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0)]
+        cons = {5: ("point", (Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3))),
+                1: ("plane", 1, Fraction(5, 11)),
+                2: ("plane", 2, Fraction(-4, 13))}
+        moved = {label: ("point", act(con[1])) if con[0] == "point"
+                 else ("plane", perm[con[1]], signs[con[1]] * con[2])
+                 for label, con in cons.items()}
+        base = count(ends, cons).value
+        assert not base.is_zero()
+        assert count([act(e) for e in ends], moved).value == base
 
     @pytest.mark.parametrize("fan, degrees, points, expected", [
         (cp3_fan(), [1, 1, 1, 1], 2,

@@ -1,0 +1,172 @@
+"""Differential oracle for the spanning-forest system behind is_general and
+place_curves: sympy decides the same questions on the full edge system,
+edge_equation_matrix with evaluation rows built here on the vertex
+positions."""
+
+import json
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+
+from tropgw import enumeration, weights
+from tropgw.enumeration import (
+    SearchBounds,
+    cycle_from_constraints,
+    enumerate_curve_types,
+    place_curves,
+)
+from tropgw.identities import gamma_mu
+from tropgw.invariants import (CountRequest, _degree_ends, cp3_fan,
+                               p1_cubed_fan)
+from tropgw.lattice import quotient_projection
+from tropgw.tropcurve import edge_equation_matrix
+
+sympy = pytest.importorskip("sympy")
+from sympy import QQ  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+DATA = resources.files("tropgw") / "data"
+
+_CP3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+_P1CUBED = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+_MARK = (0, 0, 0)
+
+# the four end sets of the perfbench enumerate workload, with their bounds
+ENUMERATE_SETS = [
+    (_CP3 + [_MARK] * 2, (8, 5, 0)),
+    (_P1CUBED, (8, 5, 0)),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), _MARK], (8, 5, 0)),
+    (_CP3 + [_MARK], (5, 1, 1)),
+]
+
+
+def _orthogonal_rows(d):
+    """Two rational rows whose common kernel is the line of d: a basis of
+    the orthogonal complement, from sympy."""
+    return [list(v) for v in sympy.Matrix([d]).nullspace()]
+
+
+def _full_system(t, block):
+    """The edge rows over (vertex positions, lengths) stacked on the
+    evaluation rows, block(d) for an end of derivative d, in label order."""
+    ncols = 3 * t.n_vertices + t.n_internal
+    at = {v: 3 * i for i, v in enumerate(t.vertices)}
+    edges = [list(r) for r in edge_equation_matrix(t).entries]
+    ev = []
+    for v, d, _ in sorted(t.external_edges, key=lambda e: e[2]):
+        rows = ([[int(i == c) for c in range(3)] for i in range(3)]
+                if d == (0, 0, 0) else block(d))
+        for b in rows:
+            row = [0] * ncols
+            row[at[v]:at[v] + 3] = b
+            ev.append(row)
+    return ncols, edges, ev
+
+
+def _rank(rows, ncols):
+    return DomainMatrix([[QQ.convert(x) for x in r] for r in rows],
+                        (len(rows), ncols), QQ).rank()
+
+
+def _sympy_general(t):
+    ncols, edges, ev = _full_system(t, _orthogonal_rows)
+    return (ncols - _rank(edges, ncols) == t.n_ends
+            and _rank(edges + ev, ncols) == ncols)
+
+
+def _checked_types(monkeypatch):
+    """Record every (type, verdict) that enumerate_curve_types decides."""
+    seen = []
+    real = enumeration._is_general
+
+    def recording(t, blocks):
+        verdict = real(t, blocks)
+        seen.append((t, verdict))
+        return verdict
+
+    monkeypatch.setattr(enumeration, "_is_general", recording)
+    return seen
+
+
+class TestGeneralityOracle:
+    @pytest.mark.parametrize("ends, bounds", ENUMERATE_SETS)
+    def test_enumerate_end_sets(self, monkeypatch, ends, bounds):
+        seen = _checked_types(monkeypatch)
+        enumerate_curve_types(ends, SearchBounds(*bounds))
+        assert seen
+        for t, verdict in seen:
+            assert verdict == _sympy_general(t), t
+
+    def test_gamma_mu_replacement_searches(self, monkeypatch):
+        seen = _checked_types(monkeypatch)
+        for n in range(1, 5):
+            for mu in enumeration._partitions(n):
+                weights.clear_caches()
+                weights.curve_weight(gamma_mu(n, mu), 4, "lambda", 0)
+        weights.clear_caches()
+        assert seen
+        for t, verdict in seen:
+            assert verdict == _sympy_general(t), t
+
+
+def _sympy_placements(t, cycle):
+    """Per stratum: sympy's unique solution of the full system through the
+    stratum as (positions, lengths), or None when there is none."""
+    ncols, edges, ev = _full_system(
+        t, lambda d: [list(r) for r in quotient_projection(d).entries])
+    out = []
+    for stratum in cycle.strata:
+        k = stratum.span.cols
+        rows = [r + [0] * k + [0] for r in edges]
+        rows += [r + [-x for x in s] + [b]
+                 for r, s, b in zip(ev, stratum.span.entries, stratum.base)]
+        n = ncols + k
+        aug = DomainMatrix([[QQ.convert(x) for x in r] for r in rows],
+                           (len(rows), n + 1), QQ)
+        red, pivots = aug.rref()
+        if pivots != tuple(range(n)):
+            out.append(None)    # inconsistent, or a null space
+            continue
+        x = [Fraction(int(r[n].numerator), int(r[n].denominator))
+             for r in red.to_list()[:n]]
+        positions = {v: tuple(x[3 * i:3 * i + 3])
+                     for i, v in enumerate(t.vertices)}
+        lengths = {i: x[3 * t.n_vertices + i] for i in range(t.n_internal)}
+        out.append((positions, lengths))
+    return out
+
+
+def _requests():
+    for name in ("s3_family1_configA.json", "s3_family1_configB.json",
+                 "s3_family3_n3_configA.json", "s3_family3_n3_configB.json"):
+        req = CountRequest.from_json(json.loads((DATA / name).read_text()))
+        yield name, req.ends, req.cycle, req.bounds, req.connected
+    for fan, degrees, points in ((cp3_fan(), [1] * 4, 2),
+                                 (p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1)):
+        for seed in (0, 1):
+            ends, constraints = _degree_ends(fan, degrees, points, seed)
+            yield (f"absolute {degrees} seed {seed}", ends,
+                   cycle_from_constraints(ends, constraints), SearchBounds(),
+                   True)
+
+
+REQUESTS = list(_requests())
+
+
+class TestPlacementOracle:
+    @pytest.mark.parametrize("name, ends, cycle, bounds, connected", REQUESTS,
+                             ids=[r[0] for r in REQUESTS])
+    def test_positions_and_lengths(self, name, ends, cycle, bounds, connected):
+        placed = 0
+        for t in enumerate_curve_types(list(ends), bounds, connected):
+            got = {p.stratum_index: p.curve for p in place_curves(t, cycle)}
+            for si, want in enumerate(_sympy_placements(t, cycle)):
+                if want is not None and 0 in want[1].values():
+                    continue    # a tie, decided by the perturbation
+                if want is None or any(l < 0 for l in want[1].values()):
+                    assert si not in got, t
+                    continue
+                assert (got[si].positions, got[si].lengths) == want, t
+                placed += 1
+        assert placed > 0

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tropgw.identities import gamma_mu
-from tropgw.lattice import IntMatrix, rational_rank
+from tropgw.lattice import IntMatrix, quotient_projection, rational_rank
 from tropgw.tropcurve import (
     CurveType,
     _canonical_form,
+    _evaluation_blocks,
+    _evaluation_rows,
+    _tree_system,
     DisconnectedCurve,
     UnbalancedCurve,
     are_isomorphic,
@@ -19,7 +22,7 @@ from tropgw.tropcurve import (
     deformation_space,
     edge_equation_matrix,
     evaluation_image,
-    evaluation_matrix,
+    evaluation_layout,
     genus,
     is_general,
     is_transverse,
@@ -193,30 +196,36 @@ class TestUnimodularInvariance:
             assert automorphism_count(s) == automorphism_count(t)
 
 
+def _ev_rows(t):
+    _, _, positions, _ = _tree_system(t)
+    blocks = _evaluation_blocks(d for _, d, _ in t.external_edges)
+    return _evaluation_rows(t, positions, blocks)
+
+
 class TestEvaluation:
     def test_full_rank_on_moduli(self):
         t = single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0))
-        ev, layout = evaluation_matrix(t)
-        assert layout.total == 6
+        assert len(_ev_rows(t)) == 6
         assert rational_rank(evaluation_image(t).entries) == 3
 
     def test_zero_end_block_is_identity_on_position(self):
         t = single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0))
-        ev, layout = evaluation_matrix(t)
+        ev = _ev_rows(t)
+        layout = evaluation_layout([d for _, d, _ in t.external_edges])
         off, size = layout.block_for_label(2)
         assert size == 3
-        block = [row[:3] for row in ev.entries[off:off + 3]]
-        assert block == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        block = [row[:3] for row in ev[off:off + 3]]
+        assert block == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_translation_acts_linearly(self):
+        # the root columns come first: a translation by w moves the root,
+        # every vertex with it, and leaves the length fixed
         t = FOUR_END
-        ev, _ = evaluation_matrix(t)
         w = (3, -1, 2)
-        shift = [*w, *w, 0]  # both vertex blocks move, length fixed
-        moved = ev.mul_vec(shift)
-        base = ev.mul_vec([0] * 7)
-        again = ev.mul_vec([2 * x for x in shift])
-        assert tuple(2 * (a - b) + b for a, b in zip(moved, base)) == again
+        moved = IntMatrix.from_rows(_ev_rows(t)).mul_vec([*w, 0])
+        expect = [x for _, d, _ in sorted(t.external_edges, key=lambda e: e[2])
+                  for x in quotient_projection(d).mul_vec(w)]
+        assert list(moved) == expect
 
 
 class TestGenerality:
