@@ -6,16 +6,14 @@ from .exactnum import (GaussRational, LaurentSeries, QHalfLaurent,
 from .lattice import (INFINITE, IntMatrix, direct_sum_index, integral_kernel,
                       lattice_index, primitive_part, quotient_projection,
                       wedge_index)
-from .tropcurve import (CurveType, PlacedCurve,
-                        automorphism_count, deformation_space, genus,
+from .tropcurve import (CurveType, PlacedCurve, automorphism_count, genus,
                         is_general, is_transverse, loop_multiplicity,
-                        multiplicity, vertex_star)
+                        vertex_star)
 from .enumeration import (ConstraintCycle, SearchBounds, Stratum,
                           cycle_from_constraints, enumerate_curve_types,
                           place_curves)
 from .weights import (curve_weight, resolve_with_shifts, sample_shifts,
-                      substitution_consistent, transverse_weight,
-                      vertex_qpoly, vertex_series)
+                      substitution_consistent, vertex_qpoly, vertex_series)
 from .invariants import (CountRequest, ToricFan, absolute_invariant,
                          apply_scaling_convention, certified_count, cp3_fan,
                          derive_line_factor, is_convex, is_convex_relative,

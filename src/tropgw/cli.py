@@ -120,7 +120,7 @@ def cmd_count(args) -> int:
     data = _load_json(args.request)
     try:
         req = CountRequest.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ParseFailure(f"{args.request}: {exc}")
     req = CountRequest(req.ends, req.cycle, req.connected, req.mode,
                        _bounds_from_args(args, req.bounds))

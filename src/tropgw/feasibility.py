@@ -10,7 +10,6 @@ normalization and deduplication.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -57,29 +56,6 @@ def positive_combinations(b_rows: Sequence[Sequence[int]]) -> list[tuple[int, ..
                 seen.add(w)
                 work.append(w)
     return [comb for row, comb in work if all(x == 0 for x in row)]
-
-
-def classify_strict(conditions: Sequence[Sequence[int]],
-                    r: Sequence[Fraction | int]) -> str:
-    """Evaluate precomputed combination rows against a concrete rhs.
-
-    'feasible'  : some s with B s > r exists;
-    'boundary'  : only non-strict solutions exist (a genericity failure);
-    'infeasible': no solution even allowing equality.
-    """
-    boundary = False
-    for c in conditions:
-        val = sum(Fraction(a) * Fraction(b) for a, b in zip(c, r))
-        if val > 0:
-            return "infeasible"
-        if val == 0:
-            boundary = True
-    return "boundary" if boundary else "feasible"
-
-
-def feasible_strict(b_rows: Sequence[Sequence[int]],
-                    r: Sequence[Fraction | int]) -> bool:
-    return classify_strict(positive_combinations(b_rows), r) == "feasible"
 
 
 def cone_meets_cone(gens_a: Sequence[Sequence[int]],

@@ -28,7 +28,6 @@ from typing import Iterable, Sequence
 from .lattice import (
     INFINITE,
     IntMatrix,
-    InvariantError,
     integral_kernel,
     lattice_index,
     quotient_projection,
@@ -214,27 +213,6 @@ class CurveType:
 # -- moduli ------------------------------------------------------------------
 
 
-def edge_equation_matrix(t: CurveType) -> IntMatrix:
-    """The 3k x (3n + k) system: x_head - x_tail - d*l = 0 per internal edge."""
-    vindex = {v: i for i, v in enumerate(t.vertices)}
-    nv, k = t.n_vertices, t.n_internal
-    rows = []
-    for e, (tail, head, d) in enumerate(t.internal_edges):
-        for c in range(3):
-            row = [0] * (3 * nv + k)
-            row[3 * vindex[head] + c] += 1
-            row[3 * vindex[tail] + c] -= 1
-            row[3 * nv + e] -= d[c]
-            rows.append(row)
-    return IntMatrix.from_rows(rows, cols_hint=3 * nv + k)
-
-
-def deformation_space(t: CurveType) -> IntMatrix:
-    """The integral tangent lattice of the type: its columns are a basis of
-    the saturated integral kernel of the edge equations."""
-    return integral_kernel(edge_equation_matrix(t))
-
-
 def genus(t: CurveType) -> int:
     if not t.is_connected():
         raise DisconnectedCurve("genus is defined for connected curves only")
@@ -334,18 +312,9 @@ def is_transverse(t: CurveType) -> bool:
     return rational_rank(loops) == len(loops)
 
 
-def multiplicity(t: CurveType) -> int:
-    """Index of the image of the edge equations inside Z^(3k)."""
-    if not is_transverse(t):
-        raise ValueError("multiplicity requires a transverse curve")
-    idx = lattice_index(edge_equation_matrix(t))
-    if idx is INFINITE:
-        raise InvariantError("transverse curve must have a finite index")
-    return idx
-
-
 def loop_multiplicity(t: CurveType) -> int:
-    """Same index computed from the independent loop relations.
+    """Index of the image of the edge equations inside Z^(3k), computed
+    from the independent loop relations.
 
     The spanning tree of _tree_system eliminates the vertex positions; each
     remaining edge closes a loop whose equation sum(+-d_e l_e) = 0 supplies
@@ -373,12 +342,6 @@ class EvaluationLayout:
     @property
     def total(self) -> int:
         return self.blocks[-1][1] + self.blocks[-1][2] if self.blocks else 0
-
-    def block_for_label(self, label: int) -> tuple[int, int]:
-        for l, off, size in self.blocks:
-            if l == label:
-                return off, size
-        raise KeyError(label)
 
 
 def evaluation_layout(ends: Sequence[IntVec3]) -> EvaluationLayout:

@@ -46,11 +46,11 @@ from .enumeration import SearchBounds, enumerate_curve_types
 from .tropcurve import (
     CurveType,
     _canonical_form,
+    _tree_system,
     automorphism_count,
-    deformation_space,
     is_general,
     is_transverse,
-    multiplicity,
+    loop_multiplicity,
     vertex_star,
 )
 
@@ -104,13 +104,6 @@ def vertex_series(star: CurveType, order: int) -> LaurentSeries:
 def vertex_qpoly(star: CurveType) -> QHalfLaurent:
     """q-polynomial weight of a single-vertex type."""
     return _vertex_weight(_wedge(star), None, "q")
-
-
-def transverse_weight(t: CurveType, order: int, mode: str):
-    """Multiplicity times the product of vertex weights (transverse case)."""
-    if not is_transverse(t):
-        raise ValueError("transverse weight on a non-transverse curve")
-    return curve_weight(t, order, mode)
 
 
 # -- shift sampling ------------------------------------------------------------
@@ -219,7 +212,7 @@ class _ResolutionSolver:
     def __init__(self, t: CurveType, stars):
         self.t = t
         self.cache: dict = {}
-        self.kernels: dict = {}   # id(rep) -> integral kernel of its deformations
+        self.forms: dict = {}   # id(rep) -> _lattice_forms(rep)
         self.proj = {d: quotient_projection(d) for _, _, d in t.internal_edges}
         # star label of each edge end; an edge-end reference names its vertex
         slot = {ref: s + 1 for v in t.vertices
@@ -269,36 +262,28 @@ class _ResolutionSolver:
     def _glue(self, reps, wires):
         """The glued system over the product of the replacement deformation
         lattices: per wire the 3 x ncols block "head attachment point minus
-        tail attachment point", and the rows reading off every replacement
-        length."""
-        kerns, offs, ncols = [], [], 0
+        tail attachment point", and the columns of the replacement lengths."""
+        forms, offs, ncols = [], [], 0
         for r in reps:
-            kern = self.kernels.get(id(r))
-            if kern is None:
-                kern = self.kernels[id(r)] = deformation_space(r)
-            kerns.append(kern)
+            f = self.forms.get(id(r))
+            if f is None:
+                f = self.forms[id(r)] = _lattice_forms(r)
+            forms.append(f)
             offs.append(ncols)
-            ncols += kern.cols
-
-        def spread(vi, kern_rows):
-            # rows of replacement vi's kernel basis, placed in its columns
-            pad = ncols - offs[vi] - kerns[vi].cols
-            return [[0] * offs[vi] + list(kerns[vi].entries[i]) + [0] * pad
-                    for i in kern_rows]
+            ncols += f[0]
 
         def point(vi, slot):
-            # position of the vertex carrying external label `slot`
-            r = reps[vi]
-            wi = list(r.vertices).index(
-                next(v for v, _, l in r.external_edges if l == slot))
-            return spread(vi, range(3 * wi, 3 * wi + 3))
+            # position forms of the vertex carrying external label `slot`
+            n, at, _ = forms[vi]
+            pad = [0] * (ncols - offs[vi] - n)
+            return [[0] * offs[vi] + row + pad for row in at[slot]]
 
         blocks = [[[h - t for h, t in zip(hr, tr)]
                    for hr, tr in zip(point(bi, sb), point(ai, sa))]
                   for ai, bi, sa, sb, _ in wires]
-        l_rows = [row for vi, r in enumerate(reps) for row in spread(
-            vi, range(3 * r.n_vertices, 3 * r.n_vertices + r.n_internal))]
-        return blocks, l_rows
+        length_cols = [off + c for off, (_, _, cols) in zip(offs, forms)
+                       for c in cols]
+        return blocks, length_cols
 
     def _solve(self, reps, wires):
         """[index or None, [(certificate row, pulled-back row)] or None if
@@ -306,7 +291,7 @@ class _ResolutionSolver:
         rank-2 projections to a nonzero row, so w never vanishes on the
         eps-moved shift and the system is never solvable there."""
         k = len(wires)
-        blocks, l_rows = self._glue(reps, wires)
+        blocks, length_cols = self._glue(reps, wires)
         projs = [self.proj[d].entries for *_, d in wires]
         rows = [[sum(p * x for p, x in zip(prow, col)) for col in zip(*block)]
                 for block, proj in zip(blocks, projs) for prow in proj]
@@ -320,12 +305,12 @@ class _ResolutionSolver:
         if sol is None:
             return [None, None]
         _, s_cols, null = sol
-        if not l_rows:
+        if not length_cols:
             return [None, []]
-        # B = L N and L S
-        ln = [[sum(a * b for a, b in zip(lr, nc)) for nc in null] for lr in l_rows]
+        # B = L N and L S, where L reads off the replacement lengths
+        ln = [[nc[i] for nc in null] for i in length_cols]
         conds = positive_combinations(ln)
-        ls = [[sum(a * b for a, b in zip(lr, sc)) for sc in s_cols] for lr in l_rows]
+        ls = [[sc[i] for sc in s_cols] for i in length_cols]
         g_rows = []
         seen = set()
         for c in conds:
@@ -354,6 +339,18 @@ class _ResolutionSolver:
         if idx is INFINITE:
             raise InvariantError("solvable wiring must have finite index")
         return idx
+
+
+def _lattice_forms(r: CurveType):
+    """(ncols, position forms of the vertex of each end label, length
+    columns) of a replacement curve.  It has genus 0, so its spanning-tree
+    coordinates (root position, then the edge lengths) are a basis of its
+    deformation lattice with no loop rows to cut it down."""
+    n_roots, ncols, positions, loops = _tree_system(r)
+    if loops:
+        raise InvariantError("replacement curves have genus 0")
+    at = {l: positions[v] for v, _, l in r.external_edges}
+    return ncols, at, range(n_roots, ncols)
 
 
 def _tie_sign(pulled: Sequence[int], order: Sequence[int]) -> int:
@@ -413,7 +410,8 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
         raise ValueError("curve weights are defined for general curves only")
     elif is_transverse(t):
         rec = _Derivation("transverse", tuple(
-            _wedge(vertex_star(t, v).star) for v in t.vertices), multiplicity(t))
+            _wedge(vertex_star(t, v).star) for v in t.vertices),
+            loop_multiplicity(t))
     else:
         parts = []
         for r in resolve_with_shifts(t, sample_shifts(t, seed)):

@@ -17,8 +17,10 @@ from tropgw.invariants import (CountRequest, absolute_invariant, cp3_fan,
                                derive_line_factor, p1_cubed_fan, weighted_count)
 from tropgw.lattice import (INFINITE, IntMatrix, determinant, lattice_index)
 from tropgw.tropcurve import (CurveType, are_isomorphic, is_transverse,
-                              loop_multiplicity, multiplicity)
+                              loop_multiplicity)
 from tropgw.weights import curve_weight, substitution_consistent
+
+from edge_system import multiplicity
 
 ORDER = 20
 BOUNDS = SearchBounds()
@@ -232,9 +234,9 @@ def test_criterion_8_multiplicity_oracle():
         else:
             g = gcd(abs(a), abs(b))
             assert idx == g == _coset_count(m, box=2 * g)
-    print("ACCEPTANCE 8: PASS - loop-relation multiplicity agrees on 100 "
-          "random transverse types and the lattice index matches brute-force "
-          "coset counting on all small 2-row matrices")
+    print("ACCEPTANCE 8: PASS - loop multiplicity agrees with the edge-system "
+          "oracle on 100 random transverse types and the lattice index "
+          "matches brute-force coset counting on all small 2-row matrices")
 
 
 def _coset_count(m: IntMatrix, box: int) -> int:

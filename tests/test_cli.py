@@ -209,14 +209,25 @@ class TestMalformedInput:
         ("base", [3, 0], "base entries"),
         ("multiplicity", [1, 0], "multiplicity entries"),
         ("multiplicity", [1.5, 1], "multiplicity entries"),
+        # a number where a list or object belongs used to escape as a
+        # TypeError traceback with exit code 1
+        ("ends", 5, "not iterable"),
+        ("cycle", 4, "not subscriptable"),
+        ("strata", 3, "not iterable"),
+        ("base list", 7, "not iterable"),
     ])
     def test_malformed_count_request_is_exit_2(self, tmp_path, capsys,
                                                 field, value, message):
         doc = json.loads((DATA / "s3_family1_configA.json").read_text())
+        stratum = doc["cycle"]["strata"][0]
         if field == "base":
-            doc["cycle"]["strata"][0]["base"][0] = value
+            stratum["base"][0] = value
+        elif field == "base list":
+            stratum["base"] = value
         elif field == "multiplicity":
-            doc["cycle"]["strata"][0]["multiplicity"] = value
+            stratum["multiplicity"] = value
+        elif field == "strata":
+            doc["cycle"]["strata"] = value
         else:
             doc[field] = value
         f = tmp_path / "request.json"

@@ -5,12 +5,25 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import Eq, Rational, symbols, true
 from sympy.solvers.simplex import lpmax
 
-from tropgw.feasibility import (
-    classify_strict,
-    cone_meets_cone,
-    feasible_strict,
-    positive_combinations,
-)
+from tropgw.feasibility import cone_meets_cone, positive_combinations
+
+
+def classify_strict(conditions, r):
+    """Evaluate combination rows of positive_combinations against a
+    concrete rhs: 'feasible' when some s has B s > r, 'boundary' when only
+    non-strict solutions exist, 'infeasible' when none does."""
+    boundary = False
+    for c in conditions:
+        val = sum(Fraction(a) * Fraction(b) for a, b in zip(c, r))
+        if val > 0:
+            return "infeasible"
+        if val == 0:
+            boundary = True
+    return "boundary" if boundary else "feasible"
+
+
+def feasible_strict(b_rows, r):
+    return classify_strict(positive_combinations(b_rows), r) == "feasible"
 
 
 def test_interval_cases():

@@ -1,0 +1,82 @@
+"""Byte-identity gate for refactors behind the weights and the commands.
+
+One sha256 covers the sort_keys JSON of
+  * the lambda weight, q weight and weight_trace of every loop-family type
+    Gamma_mu with |mu| <= 5, at shift seeds 0 and 15, each from cold caches;
+  * exit code and stdout of every bundled absolute / dt / count / fgamma /
+    relative command-line input, in JSON format with the trace on.
+A change that moves any exact value, index, automorphism count or trace
+entry changes the digest.  A deliberate change of an output must update
+PINNED together with a note of what moved and why.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from importlib import resources
+
+from tropgw import cli, weights
+from tropgw.enumeration import _partitions
+from tropgw.identities import gamma_mu
+
+DATA = resources.files("tropgw") / "data"
+ORDER = 20
+SEEDS = (0, 15)
+
+PINNED = "6e7adc3a443058ce9042d6f040320731248b241285db888c64bbb889f83dc246"
+
+CLI_INPUTS = [
+    ["absolute", "cp3.json", "--degrees", "1", "--points", "2"],
+    ["absolute", "p1cubed.json", "--degrees", "1,1,0,0,0,0", "--points", "1"],
+    ["dt", "cp3.json", "--degrees", "1", "--points", "2"],
+    ["dt", "p1cubed.json", "--degrees", "1,1,0,0,0,0", "--points", "1"],
+    ["count", "s3_family1_configA.json"],
+    ["count", "s3_family1_configB.json"],
+    ["count", "s3_family3_n3_configA.json"],
+    ["count", "s3_family3_n3_configB.json"],
+    ["relative", "relative_cp3_all_special.json"],
+] + [["fgamma", name, "--mode", mode]
+     for name in ("vertex_wedge1.json", "gamma_mu_21.json",
+                  "gamma_mu_1111.json")
+     for mode in ("lambda", "q")]
+
+
+def _weights_document() -> dict:
+    doc = {}
+    for n in range(1, 6):
+        for mu in _partitions(n):
+            t = gamma_mu(n, mu)
+            for seed in SEEDS:
+                weights.clear_caches()
+                doc[f"{mu} seed {seed}"] = {
+                    "lambda": weights.curve_weight(
+                        t, ORDER, "lambda", seed).to_json(),
+                    "q": weights.curve_weight(t, ORDER, "q", seed).to_json(),
+                    "trace": weights.weight_trace(t, seed),
+                }
+    weights.clear_caches()
+    return doc
+
+
+def _cli_document() -> dict:
+    doc = {}
+    for command, name, *rest in CLI_INPUTS:
+        argv = [command, str(DATA / name), *rest,
+                "--format", "json", "--trace", "--seed", "0"]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        doc[" ".join([command, name, *rest])] = [code, buf.getvalue()]
+    weights.clear_caches()
+    return doc
+
+
+def pinned_digest() -> str:
+    doc = {"weights": _weights_document(), "cli": _cli_document()}
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_weights_traces_and_cli_outputs_are_pinned():
+    assert pinned_digest() == PINNED

@@ -1,7 +1,7 @@
-"""Differential oracle for the spanning-forest system behind is_general and
-place_curves: sympy decides the same questions on the full edge system,
-edge_equation_matrix with evaluation rows built here on the vertex
-positions."""
+"""Differential oracle for the spanning-forest system behind is_general,
+place_curves and the glued resolution systems: sympy decides the same
+questions on the full edge system of edge_system.py, with evaluation rows
+built here on the vertex positions."""
 
 import json
 from fractions import Fraction
@@ -19,11 +19,14 @@ from tropgw.enumeration import (
 from tropgw.identities import gamma_mu
 from tropgw.invariants import (CountRequest, _degree_ends, cp3_fan,
                                p1_cubed_fan)
-from tropgw.lattice import quotient_projection
-from tropgw.tropcurve import edge_equation_matrix
+from tropgw.lattice import IntMatrix, integral_kernel, quotient_projection
+from tropgw.tropcurve import _tree_system
+
+from edge_system import deformation_space, edge_equation_matrix
 
 sympy = pytest.importorskip("sympy")
 from sympy import QQ  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 DATA = resources.files("tropgw") / "data"
@@ -108,6 +111,61 @@ class TestGeneralityOracle:
         assert seen
         for t, verdict in seen:
             assert verdict == _sympy_general(t), t
+
+
+def _forest_lattice(t):
+    """The forest coordinates' lattice on vertex positions and lengths: the
+    position forms (3 rows per vertex, t.vertices order) and the length rows
+    of _tree_system times the integral kernel of its loop rows."""
+    n_roots, ncols, positions, loops = _tree_system(t)
+    rows = [row for v in t.vertices for row in positions[v]]
+    rows += [[int(c == n_roots + e) for c in range(ncols)]
+             for e in range(t.n_internal)]
+    kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
+    return IntMatrix.from_rows(rows).mul(kernel)
+
+
+def _assert_spans_deformation_space(t):
+    """The columns lie in the edge system's kernel, have its rank and span
+    a saturated lattice (every invariant factor 1), so they are a basis of
+    the lattice of deformation_space(t)."""
+    cols = _forest_lattice(t)
+    assert not any(any(r) for r in edge_equation_matrix(t).mul(cols).entries), t
+    factors = invariant_factors(sympy.Matrix(cols.rows, cols.cols, [
+        x for r in cols.entries for x in r]), domain=sympy.ZZ)
+    assert cols.cols == len(factors) == deformation_space(t).cols, t
+    assert all(abs(int(f)) == 1 for f in factors), t
+
+
+class TestDeformationLatticeOracle:
+    @pytest.mark.parametrize("ends, bounds", ENUMERATE_SETS)
+    def test_enumerated_types(self, ends, bounds):
+        types = enumerate_curve_types(ends, SearchBounds(*bounds))
+        assert types
+        for t in types:
+            _assert_spans_deformation_space(t)
+
+    def test_gamma_mu_replacement_candidates(self, monkeypatch):
+        # every candidate the resolution sweeps glue, read in _glue
+        # straight from its forest coordinates
+        candidates = set()
+        real = weights.enumerate_curve_types
+
+        def recording(*args):
+            found = real(*args)
+            candidates.update(found)
+            return found
+
+        monkeypatch.setattr(weights, "enumerate_curve_types", recording)
+        for n in range(1, 5):
+            for mu in enumeration._partitions(n):
+                weights.clear_caches()
+                weights.curve_weight(gamma_mu(n, mu), 4, "lambda", 0)
+        weights.clear_caches()
+        assert candidates
+        for t in candidates:
+            assert t.is_connected() and t.n_internal == t.n_vertices - 1
+            _assert_spans_deformation_space(t)
 
 
 def _sympy_placements(t, cycle):

@@ -19,17 +19,16 @@ from tropgw.tropcurve import (
     UnbalancedCurve,
     are_isomorphic,
     automorphism_count,
-    deformation_space,
-    edge_equation_matrix,
     evaluation_image,
     evaluation_layout,
     genus,
     is_general,
     is_transverse,
     loop_multiplicity,
-    multiplicity,
     vertex_star,
 )
+
+from edge_system import deformation_space, edge_equation_matrix, multiplicity
 
 
 def single_vertex(*ends):
@@ -212,7 +211,7 @@ class TestEvaluation:
         t = single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0))
         ev = _ev_rows(t)
         layout = evaluation_layout([d for _, d, _ in t.external_edges])
-        off, size = layout.block_for_label(2)
+        _, off, size = layout.blocks[1]
         assert size == 3
         block = [row[:3] for row in ev[off:off + 3]]
         assert block == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]

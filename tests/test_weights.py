@@ -15,7 +15,6 @@ from tropgw.weights import (
     curve_weight,
     resolve_with_shifts,
     substitution_consistent,
-    transverse_weight,
     vertex_qpoly,
     vertex_series,
 )
@@ -82,13 +81,13 @@ class TestTransverseWeight:
             [0, 1], [(0, 1, (1, 1, 0))],
             [(0, (-1, 0, 0), 1), (0, (0, -1, 0), 2),
              (1, (1, 0, 0), 3), (1, (0, 1, 0), 4)])
-        w = transverse_weight(t, K, "lambda")
+        w = curve_weight(t, K, "lambda")
         per_vertex = normalized_sin_half(1, K)
         assert w.agrees(per_vertex * per_vertex)
 
     def test_single_vertex(self):
         t = single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0))
-        assert transverse_weight(t, K, "lambda").agrees(vertex_series(t, K))
+        assert curve_weight(t, K, "lambda").agrees(vertex_series(t, K))
 
     def test_loop_multiplicity_scales(self):
         # triangle with loop index 2: weight = 2 * product of vertex weights
@@ -96,7 +95,7 @@ class TestTransverseWeight:
             [0, 1, 2],
             [(0, 1, (1, 0, 0)), (1, 2, (0, 1, 0)), (2, 0, (0, 0, 2))],
             [(0, (-1, 0, 2), 1), (1, (1, -1, 0), 2), (2, (0, 1, -2), 3)])
-        w = transverse_weight(t, K, "lambda")
+        w = curve_weight(t, K, "lambda")
         prod = LaurentSeries.monomial(2, 0, K)
         from tropgw.tropcurve import vertex_star
         for v in t.vertices:
@@ -195,7 +194,7 @@ class TestResolutions:
                 return fn(*args)
             monkeypatch.setattr(weights, name, wrapper)
 
-        names = ("is_general", "is_transverse", "multiplicity",
+        names = ("is_general", "is_transverse", "loop_multiplicity",
                  "resolve_with_shifts", "automorphism_count")
         for name in names:
             counted(name)
@@ -223,13 +222,6 @@ class TestCurveWeight:
             b1, bm = two_sin_half(1, K), two_sin_half(m, K)
             expect = b1 * b1 * bm * bm.scale(Fraction(1, m))
             assert curve_weight(t, K, "lambda", seed=3).agrees(expect)
-
-    def test_transverse_matches_direct_product(self):
-        t = CurveType.make(
-            [0, 1], [(0, 1, (1, 1, 0))],
-            [(0, (-1, 0, 0), 1), (0, (0, -1, 0), 2),
-             (1, (1, 0, 0), 3), (1, (0, 1, 0), 4)])
-        assert curve_weight(t, K, "lambda").agrees(transverse_weight(t, K, "lambda"))
 
     def test_valuation_is_euler_grading(self):
         corpus = [
