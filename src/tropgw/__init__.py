@@ -3,21 +3,18 @@
 from .exactnum import (GaussRational, LaurentSeries, QHalfLaurent,
                        normalized_sin_half, q_to_lambda, quantum_integer_q,
                        two_sin_half)
-from .lattice import (INFINITE, IntMatrix, direct_sum_index, integral_kernel,
-                      lattice_index, primitive_part, quotient_projection,
-                      wedge_index)
-from .tropcurve import (CurveType, PlacedCurve, automorphism_count, genus,
-                        is_general, is_transverse, loop_multiplicity,
-                        vertex_star)
-from .enumeration import (ConstraintCycle, SearchBounds, Stratum,
+from .lattice import (INFINITE, IntMatrix, integral_kernel, lattice_index,
+                      primitive_part, quotient_projection, wedge_index)
+from .tropcurve import (CurveType, automorphism_count, genus, is_general,
+                        is_transverse, loop_multiplicity, vertex_star)
+from .enumeration import (ConstraintCycle, Placement, SearchBounds, Stratum,
                           cycle_from_constraints, enumerate_curve_types,
                           place_curves)
 from .weights import (curve_weight, resolve_with_shifts, sample_shifts,
                       substitution_consistent, vertex_qpoly, vertex_series)
 from .invariants import (CountRequest, ToricFan, absolute_invariant,
-                         apply_scaling_convention, certified_count, cp3_fan,
-                         derive_line_factor, is_convex, is_convex_relative,
-                         p1_cubed_fan, reduced_dt, relative_invariant,
-                         weighted_count)
+                         certified_count, cp3_fan, derive_line_factor,
+                         is_convex, is_convex_relative, p1_cubed_fan,
+                         reduced_dt, relative_invariant, weighted_count)
 
 __all__ = [n for n in dir() if not n.startswith("_")]

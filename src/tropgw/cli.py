@@ -107,7 +107,7 @@ def cmd_fgamma(args) -> int:
     data = _load_json(args.type)
     try:
         t = CurveType.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise ParseFailure(f"{args.type}: {exc}")
     w = curve_weight(t, args.order, args.mode, args.seed)
     extra = None

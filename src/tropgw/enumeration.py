@@ -16,8 +16,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .lattice import (
+    INFINITE,
     IntMatrix,
     InvariantError,
+    integral_kernel,
+    lattice_index,
     primitive_part,
     rational_rank,
     saturation,
@@ -28,13 +31,11 @@ from .lattice import (
 from .tropcurve import (
     CurveType,
     IntVec3,
-    PlacedCurve,
     _evaluation_blocks,
     _evaluation_rows,
     _is_general,
     _tree_system,
     _vec3,
-    evaluation_layout,
 )
 
 
@@ -95,10 +96,6 @@ class ConstraintCycle:
                 raise ValueError("stratum does not match the ambient dimension")
             if s.span.cols and rational_rank(s.span.entries) != s.span.cols:
                 raise ValueError("stratum spanning columns must be independent")
-
-    def rescaled(self, factor: Fraction) -> "ConstraintCycle":
-        return ConstraintCycle(self.ambient_dim, tuple(
-            Stratum(s.base, s.span, s.multiplicity * factor) for s in self.strata))
 
     def to_json(self) -> dict:
         return {
@@ -181,10 +178,11 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
             raise ValueError(f"constraint on label {label!r}, but the ends are "
                              f"labeled 1..{len(ends)}")
         _check_constraint(con)
-    layout = evaluation_layout([tuple(e) for e in ends])
+    # one block per end in label order: 3 rows for a zero end, 2 otherwise
+    blocks = _evaluation_blocks(tuple(e) for e in ends)
+    total = sum(blocks[tuple(d)].rows for d in ends)
     base: list[Fraction] = []
     span_cols: list[list[int]] = []
-    total = layout.total
 
     def push_cols(local_cols, offset):
         for c in local_cols:
@@ -193,10 +191,10 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
                 col[offset + i] = x
             span_cols.append(col)
 
-    blocks = _evaluation_blocks(tuple(e) for e in ends)
-    for label, off, size in layout.blocks:
-        d = tuple(ends[label - 1])
+    for label, d in enumerate(ends, 1):
+        d = tuple(d)
         block = blocks[d]
+        off, size = len(base), block.rows
         con = constraints.get(label)
         if con is None:
             base.extend([Fraction(0)] * size)
@@ -214,19 +212,6 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
             push_cols(saturation([c for c in dirs if any(c)], size).columns(), off)
     span = IntMatrix.from_cols(span_cols, rows_hint=total)
     return ConstraintCycle(total, (Stratum(tuple(base), span, Fraction(1)),))
-
-
-def constrained_labels(ends: Sequence[IntVec3], cycle: ConstraintCycle) -> set[int]:
-    """Labels whose evaluation block is genuinely cut down by every stratum."""
-    layout = evaluation_layout([tuple(e) for e in ends])
-    out = set()
-    for label, off, size in layout.blocks:
-        for s in cycle.strata:
-            block_rows = [[c[off + i] for c in s.span.columns()] for i in range(size)]
-            if rational_rank(block_rows) < size:
-                out.add(label)
-                break
-    return out
 
 
 # -- tree shapes ---------------------------------------------------------------
@@ -553,9 +538,28 @@ def _merge_components(combo) -> CurveType:
 
 @dataclass(frozen=True)
 class Placement:
+    """An exact rational solution of the edge equations through one stratum,
+    with positive lengths; a length may be 0 only on the tied edges, which
+    placement found positive under the infinitesimal perturbation of the
+    constraints.  index is |Z^N / (evaluation image + stratum span)|, the
+    lattice factor the placement contributes to a count."""
+
     ctype: CurveType
     stratum_index: int
-    curve: PlacedCurve
+    positions: dict[int, tuple[Fraction, Fraction, Fraction]]
+    lengths: dict[int, Fraction]
+    tied: frozenset[int]
+    index: int
+
+    def check(self) -> bool:
+        for i, (tail, head, d) in enumerate(self.ctype.internal_edges):
+            l = self.lengths[i]
+            if l < 0 or l == 0 and i not in self.tied:
+                return False
+            for c in range(3):
+                if self.positions[head][c] - self.positions[tail][c] - d[c] * l != 0:
+                    return False
+        return True
 
 
 def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
@@ -571,12 +575,20 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
     first nonzero eps-coefficient, and one with none is zero on the whole
     family, so the placement is discarded.  A kept placement records the
     tied edges, which its check() then accepts at length 0.
+
+    The index of a placement is the lattice index of the evaluation image of
+    the deformation lattice (the integral kernel of the loop rows) together
+    with the stratum's spanning columns.  For a general t and a stratum of
+    codimension t.n_ends, the pairs weighted_count makes, these are square
+    and, the solution being unique, independent, so the index is finite; an
+    infinite one raises InvariantError.
     """
     n_roots, ncols, forms, loops = _tree_system(t)
     ev = _evaluation_rows(
         t, forms, _evaluation_blocks(d for _, d, _ in t.external_edges))
     if len(ev) != cycle.ambient_dim:
         raise ValueError("cycle ambient dimension does not match the ends")
+    image = None
     out = []
     for si, stratum in enumerate(cycle.strata):
         rows = [r + [0] * stratum.span.cols for r in loops]
@@ -593,10 +605,20 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
             continue
         positions = {v: tuple(sum(a * x for a, x in zip(r, part)) for r in forms[v])
                      for v in t.vertices}
-        placed = PlacedCurve(t, positions, lengths, tied)
+        if image is None:
+            kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
+            image = IntMatrix.from_rows(ev, cols_hint=ncols).mul(kernel)
+        index = lattice_index(IntMatrix.from_rows(
+            [a + b for a, b in zip(image.entries, stratum.span.entries)],
+            cols_hint=image.cols + stratum.span.cols))
+        if index is INFINITE:
+            raise InvariantError(
+                "a unique placement needs a direct sum of the evaluation "
+                "image and the stratum")
+        placed = Placement(t, si, positions, lengths, tied, index)
         if not placed.check():
             raise InvariantError("solved placement violates its edge equations")
-        out.append(Placement(t, si, placed))
+        out.append(placed)
     return out
 
 

@@ -19,17 +19,15 @@ from typing import Sequence
 
 from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
-from .lattice import (INFINITE, IntMatrix, InvariantError, direct_sum_index,
-                      lattice_index, primitive_part)
+from .lattice import IntMatrix, lattice_index, primitive_part
 from .enumeration import (
     ConstraintCycle,
     SearchBounds,
-    constrained_labels,
     cycle_from_constraints,
     enumerate_curve_types,
     place_curves,
 )
-from .tropcurve import CurveType, automorphism_count, evaluation_image
+from .tropcurve import CurveType, automorphism_count
 from .weights import curve_weight
 
 
@@ -47,6 +45,8 @@ class ToricFan:
     def __post_init__(self):
         seen = set()
         for r in self.rays:
+            if len(r) != 3:
+                raise ValueError(f"ray {r} does not lie in Z^3")
             p, g = primitive_part(r)
             if g != 1:
                 raise ValueError(f"ray {r} is not primitive")
@@ -214,22 +214,15 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
         placements = place_curves(t, req.cycle)
         if not placements:
             continue
-        ev_cols = evaluation_image(t).columns()
         aut = automorphism_count(t)
         w = curve_weight(t, order, req.mode, seed)
         for p in placements:
             stratum = req.cycle.strata[p.stratum_index]
-            idx = direct_sum_index(ev_cols, stratum.span.columns(),
-                                   req.cycle.ambient_dim)
-            if idx is INFINITE:
-                raise InvariantError(
-                    "a unique placement needs a direct sum of the evaluation "
-                    "image and the stratum")
-            contrib = w.scale(stratum.multiplicity * idx)
+            contrib = w.scale(stratum.multiplicity * p.index)
             if aut != 1:
                 contrib = contrib.scale(Fraction(1, aut))
             total = total + contrib
-            contributions.append(Contribution(t, p.stratum_index, idx, aut, w))
+            contributions.append(Contribution(t, p.stratum_index, p.index, aut, w))
     return CountResult(total, contributions, req.bounds, 0)
 
 
@@ -247,20 +240,6 @@ def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountR
             else res.value == res2.value)
     res.certified = bool(same)
     return res
-
-
-def apply_scaling_convention(cycle: ConstraintCycle,
-                             ends: Sequence[tuple[int, int, int]]) -> ConstraintCycle:
-    """Multiply stratum weights by the product of |d| over nontrivially
-    constrained ends with nonzero derivative d (the working normalization for
-    hand comparisons of counts)."""
-    m = 1
-    for label in constrained_labels(ends, cycle):
-        d = tuple(ends[label - 1])
-        if d != (0, 0, 0):
-            _, g = primitive_part(d)
-            m *= g
-    return cycle.rescaled(Fraction(m))
 
 
 # -- toric invariants ------------------------------------------------------------

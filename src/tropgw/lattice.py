@@ -2,8 +2,8 @@
 
 Two kernels, one per kind of question.  One fraction-free elimination
 (Bareiss's integer-preserving Gauss-Jordan step) serves every rational
-question: solves, ranks, null bases and determinants, in integers over one
-common denominator.  One unimodular column reduction serves every lattice
+question: solves, ranks and null bases, in integers over one common
+denominator.  One unimodular column reduction serves every lattice
 question: lattice indices, saturated integral kernels and the canonical
 rank-2 quotient projections.  Besides these: primitive vectors and wedge
 indices.  Matrices are tiny (tens of rows at most), so everything is plain
@@ -154,33 +154,6 @@ def lattice_index(m: IntMatrix) -> int | _Infinite:
     return prod(abs(x) for _, x in pivots)
 
 
-def determinant(m: IntMatrix) -> int:
-    """Determinant from the fraction-free elimination: sign * den, or 0."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    den, pivots, sign = _eliminate([list(r) for r in m.entries], m.cols)
-    return sign * den if len(pivots) == m.rows else 0
-
-
-def direct_sum_index(cols_a: Sequence[IntVec], cols_b: Sequence[IntVec],
-                     ambient_dim: int) -> int | _Infinite:
-    """|Z^ambient / (span(cols_a) + span(cols_b))| for a complementary pair.
-
-    The two column families must jointly have exactly ambient_dim columns
-    (that is a caller error, reported as such); a singular square matrix is
-    the expected non-complementary case and yields INFINITE.
-    """
-    cols = list(cols_a) + list(cols_b)
-    if len(cols) != ambient_dim:
-        raise ValueError(
-            f"column counts {len(cols_a)}+{len(cols_b)} do not match ambient dimension {ambient_dim}")
-    for c in cols:
-        if len(c) != ambient_dim:
-            raise ValueError("column lives in the wrong ambient space")
-    det = determinant(IntMatrix.from_cols(cols, rows_hint=ambient_dim))
-    return abs(det) if det != 0 else INFINITE
-
-
 def primitive_part(v: Sequence[int]) -> tuple[IntVec, int]:
     """Write v = g*p with p primitive pointing the same way; g > 0."""
     if all(x == 0 for x in v):
@@ -244,21 +217,18 @@ def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int], int]:
+def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int]]:
     """Fraction-free Gauss-Jordan elimination on the first n columns, in place.
 
     Bareiss's step: each update divides exactly by the previous pivot, and
-    the rows above the pivot are reduced as well.  Returns (den, pivots,
-    sign) with den > 0: pivot row i holds den in column pivots[i], a / den is
-    the reduced row echelon form of the input, and the rows past the pivots
+    the rows above the pivot are reduced as well.  Returns (den, pivots)
+    with den > 0: pivot row i holds den in column pivots[i], a / den is the
+    reduced row echelon form of the input, and the rows past the pivots
     vanish on the first n columns (the remaining columns are carried along).
-    sign is (-1)^(row swaps) times the sign of the last pivot, so a
-    nonsingular square matrix has determinant sign * den.
     """
     m = len(a)
     pivots: list[int] = []
     prev = 1
-    swaps = 0
     for c in range(n):
         r = len(pivots)
         if r == m:
@@ -266,9 +236,7 @@ def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int], int]:
         piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            swaps += 1
+        a[r], a[piv] = a[piv], a[r]
         prow = a[r]
         p = prow[c]
         for i in range(m):
@@ -281,12 +249,10 @@ def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int], int]:
                 a[i] = [p * x // prev for x in a[i]]
         pivots.append(c)
         prev = p
-    sign = -1 if swaps % 2 else 1
     if prev < 0:
-        sign = -sign
         for i in range(len(pivots)):
             a[i] = [-x for x in a[i]]
-    return abs(prev), pivots, sign
+    return abs(prev), pivots
 
 
 def solve_integral(rows: Sequence[Sequence[Fraction | int]],
@@ -302,7 +268,7 @@ def solve_integral(rows: Sequence[Sequence[Fraction | int]],
     n = len(rows[0]) if m else 0
     a = [_integer_row(list(r) + [b[i] for b in rhs_cols])
          for i, r in enumerate(rows)]
-    den, pivots, _ = _eliminate(a, n)
+    den, pivots = _eliminate(a, n)
     if any(any(row[n:]) for row in a[len(pivots):]):
         return None
     sols = []

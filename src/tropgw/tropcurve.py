@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
 from .lattice import (
     INFINITE,
     IntMatrix,
-    integral_kernel,
     lattice_index,
     quotient_projection,
     rational_rank,
@@ -329,41 +327,7 @@ def loop_multiplicity(t: CurveType) -> int:
     return idx
 
 
-# -- evaluation ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvaluationLayout:
-    """Row layout of the edge evaluation: one block per external edge, in
-    label order; zero-derivative edges occupy 3 rows, others 2."""
-
-    blocks: tuple[tuple[int, int, int], ...]  # (label, offset, size)
-
-    @property
-    def total(self) -> int:
-        return self.blocks[-1][1] + self.blocks[-1][2] if self.blocks else 0
-
-
-def evaluation_layout(ends: Sequence[IntVec3]) -> EvaluationLayout:
-    blocks = []
-    off = 0
-    for i, d in enumerate(ends):
-        size = 3 if tuple(d) == (0, 0, 0) else 2
-        blocks.append((i + 1, off, size))
-        off += size
-    return EvaluationLayout(tuple(blocks))
-
-
-def evaluation_image(t: CurveType) -> IntMatrix:
-    """Columns: image of the integral tangent lattice under the evaluation map.
-
-    In forest coordinates the lattice is the integral kernel of the loop
-    rows, which keeps every root column as it is."""
-    _, ncols, positions, loops = _tree_system(t)
-    ev = _evaluation_rows(
-        t, positions, _evaluation_blocks(d for _, d, _ in t.external_edges))
-    kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
-    return IntMatrix.from_rows(ev, cols_hint=ncols).mul(kernel)
+# -- generality ---------------------------------------------------------------
 
 
 def is_general(t: CurveType) -> bool:
@@ -430,31 +394,6 @@ def vertex_star(t: CurveType, v: int) -> VertexStar:
     star = CurveType.make(
         (0,), (), [(0, d, i + 1) for i, d in enumerate(ends)])
     return VertexStar(star, tuple(refs))
-
-
-# -- placements ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlacedCurve:
-    """An exact rational solution of the edge equations with positive lengths;
-    a length may be 0 only on the tied edges, which placement found positive
-    under the infinitesimal perturbation of the constraints."""
-
-    ctype: CurveType
-    positions: dict[int, tuple[Fraction, Fraction, Fraction]]
-    lengths: dict[int, Fraction]
-    tied: frozenset[int] = frozenset()
-
-    def check(self) -> bool:
-        for i, (tail, head, d) in enumerate(self.ctype.internal_edges):
-            l = self.lengths[i]
-            if l < 0 or l == 0 and i not in self.tied:
-                return False
-            for c in range(3):
-                if self.positions[head][c] - self.positions[tail][c] - d[c] * l != 0:
-                    return False
-        return True
 
 
 # -- isomorphism --------------------------------------------------------------

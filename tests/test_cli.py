@@ -56,6 +56,18 @@ class TestFgamma:
         assert out == ""
         assert "Z^3" in err
 
+    @pytest.mark.parametrize("field, value", [("vertices", 5),
+                                              ("internal_edges", [5])],
+                             ids=["vertices", "internal_edges"])
+    def test_non_list_fields_are_exit_2(self, tmp_path, capsys, field, value):
+        doc = json.loads((DATA / "vertex_wedge1.json").read_text())
+        doc[field] = value
+        f = tmp_path / "bad_field.json"
+        f.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "fgamma", str(f))
+        assert code == 2
+        assert out == ""
+
     def test_unsupported_vertex_is_exit_4(self, tmp_path, capsys):
         doc = {"vertices": [0], "internal_edges": [],
                "external_edges": [
@@ -154,6 +166,17 @@ class TestToricCommands:
                            "--degrees", "1", "--points", "2")
         assert code == 2
         assert "rays must be lists of integers" in err
+
+    def test_planar_rays_are_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "planar.json"
+        f.write_text(json.dumps({
+            "rays": [[1, 0], [0, 1], [-1, -1]],
+            "cones": [[0], [1], [2], [0, 1], [0, 2], [1, 2]]}))
+        code, out, err = run(capsys, "absolute", str(f),
+                             "--degrees", "1", "--points", "0")
+        assert code == 2
+        assert out == ""
+        assert "Z^3" in err
 
 
 class TestEnumerate:

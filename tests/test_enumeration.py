@@ -97,9 +97,9 @@ class TestPlacement:
             [(1, 0, 0), (0, 0, 0), (-1, 0, 0)], {2: ("point", (5, 7, 11))})
         pls = place_curves(t, cyc)
         assert len(pls) == 1
-        assert pls[0].curve.positions[0] == (5, 7, 11)
-        assert pls[0].curve.check()
-        assert all(l > 0 for l in pls[0].curve.lengths.values())
+        assert pls[0].positions[0] == (5, 7, 11)
+        assert pls[0].check()
+        assert all(l > 0 for l in pls[0].lengths.values())
 
     def test_unreachable_constraint_empty(self):
         t = CurveType.make([0], (), [(0, (1, 0, 0), 1), (0, (0, 1, 0), 2),
@@ -126,7 +126,7 @@ class TestPlacement:
             ends, {1: ("point", (0, 0, 1)), 2: ("point", (0, 0, -1))})
         for t in enumerate_curve_types(ends, B):
             for p in place_curves(t, cyc):
-                assert p.curve.check()  # exact substitution back into the system
+                assert p.check()  # exact substitution back into the system
 
     def test_boundary_hit_resolves_by_the_tie_break(self):
         # constrain both rays through the vertex of the single-vertex type so
@@ -148,12 +148,12 @@ class TestPlacement:
                                           for t in types]
         assert sorted(len(p) for p in kept) == [0, 1]
         (p,) = [p for ps in kept for p in ps]
-        assert p.curve.lengths == {0: 0}
-        assert p.curve.tied == {0}
-        assert p.curve.check()
-        assert not replace(p.curve, tied=frozenset()).check()
+        assert p.lengths == {0: 0}
+        assert p.tied == {0}
+        assert p.check()
+        assert not replace(p, tied=frozenset()).check()
         assert all(l > 0 for pn in place_curves(p.ctype, near)
-                   for l in pn.curve.lengths.values())
+                   for l in pn.lengths.values())
 
     def test_positive_dimensional_family_places_nothing(self):
         # an unconstrained marker leaves the vertex free to move: a null

@@ -10,7 +10,6 @@ from tropgw.invariants import (
     CountRequest,
     ToricFan,
     absolute_invariant,
-    apply_scaling_convention,
     certified_count,
     cp3_fan,
     derive_line_factor,
@@ -54,6 +53,10 @@ class TestFans:
     def test_nonprimitive_ray_rejected(self):
         with pytest.raises(ValueError):
             ToricFan.from_max_cones([(2, 0, 0)], [(0,)])
+
+    def test_rays_outside_z3_rejected(self):
+        with pytest.raises(ValueError, match="Z\\^3"):
+            ToricFan.from_max_cones([(1, 0, 0, 0), (0, 1, 0, 0)], [(0, 1)])
 
     def test_faces_required(self):
         with pytest.raises(ValueError):
@@ -121,27 +124,6 @@ class TestDegenerationInvariance:
             assert ra.value.agrees(rb.value), n
             one = two_sin_half(1, K)
             assert ra.value.agrees((one * one).scale(n))
-
-
-class TestScalingConvention:
-    def test_primitive_ends_unchanged(self):
-        cyc = cycle_from_constraints(ENDS_SQUARE, {2: ("point", (0, 0, 0))})
-        scaled = apply_scaling_convention(cyc, ENDS_SQUARE)
-        assert scaled == cyc
-
-    def test_second_family_factor(self):
-        k, n = 2, 3
-        ends = [(k, 0, 0), (0, n * k, 0), (0, 1, 0), (-k, -n * k - 1, 0)]
-        cyc = cycle_from_constraints(ends, {1: ("point", (0, 0, 0)),
-                                            2: ("plane", 0, 2),
-                                            3: ("plane", 0, -3)})
-        scaled = apply_scaling_convention(cyc, ends)
-        # constrained nonzero ends: (k,0,0) scale k, (0,nk,0) scale nk, (0,1,0) scale 1
-        assert scaled.strata[0].multiplicity == Fraction(k * n * k)
-
-    def test_no_constraints_unchanged(self):
-        cyc = cycle_from_constraints(ENDS_SQUARE, {})
-        assert apply_scaling_convention(cyc, ENDS_SQUARE) == cyc
 
 
 class TestAbsolute:

@@ -13,8 +13,6 @@ import tropgw
 from tropgw.lattice import (
     INFINITE,
     IntMatrix,
-    determinant,
-    direct_sum_index,
     integral_kernel,
     lattice_index,
     primitive_part,
@@ -72,7 +70,7 @@ class TestLatticeIndex:
         for a, b, c, d in product(range(-3, 4), repeat=4):
             m = IntMatrix.from_rows([[a, b], [c, d]])
             idx = lattice_index(m)
-            det = determinant(m)
+            det = a * d - b * c
             if idx is INFINITE:
                 assert det == 0
             else:
@@ -97,21 +95,25 @@ class TestLatticeIndex:
 
 
 class TestDirectSumIndex:
+    """|Z^2 / (span(a) + span(b))| for a pair of columns, the index a
+    placement takes of its evaluation image and stratum, is the lattice
+    index of the joined columns."""
+
+    @staticmethod
+    def index(a, b):
+        return lattice_index(IntMatrix.from_cols([a, b], rows_hint=2))
+
     def test_unit_basis(self):
-        assert direct_sum_index([(1, 0)], [(0, 1)], 2) == 1
+        assert self.index((1, 0), (0, 1)) == 1
 
     def test_skew_pair(self):
         # |det| = 2, cross-checked by coset enumeration
         m = IntMatrix.from_cols([(1, 1), (1, -1)], rows_hint=2)
-        assert direct_sum_index([(1, 1)], [(1, -1)], 2) == 2
+        assert self.index((1, 1), (1, -1)) == 2
         assert brute_force_quotient_size(m, box=2) == 2
 
     def test_non_spanning_is_infinite(self):
-        assert direct_sum_index([(1, 0)], [(2, 0)], 2) is INFINITE
-
-    def test_count_mismatch_is_an_error_not_infinite(self):
-        with pytest.raises(ValueError):
-            direct_sum_index([(1, 0)], [], 2)
+        assert self.index((1, 0), (2, 0)) is INFINITE
 
 
 class TestPrimitiveAndWedge:
@@ -312,7 +314,10 @@ class TestAgainstSympy:
 
     @given(_matrices(entries=st.integers(-5, 5), square=True))
     def test_determinant_matches(self, rows):
-        assert determinant(IntMatrix.from_rows(rows)) == _sym(rows).det()
+        # on a square matrix the lattice index is |det|, INFINITE when 0
+        det = abs(_sym(rows).det())
+        idx = lattice_index(IntMatrix.from_rows(rows))
+        assert idx == det if det else idx is INFINITE
 
     @given(_matrices(entries=st.integers(-6, 6)))
     def test_lattice_index_matches_invariant_factors(self, rows):

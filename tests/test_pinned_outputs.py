@@ -4,7 +4,8 @@ One sha256 covers the sort_keys JSON of
   * the lambda weight, q weight and weight_trace of every loop-family type
     Gamma_mu with |mu| <= 5, at shift seeds 0 and 15, each from cold caches;
   * exit code and stdout of every bundled absolute / dt / count / fgamma /
-    relative command-line input, in JSON format with the trace on.
+    relative / enumerate command-line input and of the s4 and dt identity
+    suites, in JSON format with the trace on.
 A change that moves any exact value, index, automorphism count or trace
 entry changes the digest.  A deliberate change of an output must update
 PINNED together with a note of what moved and why.
@@ -24,7 +25,7 @@ DATA = resources.files("tropgw") / "data"
 ORDER = 20
 SEEDS = (0, 15)
 
-PINNED = "6e7adc3a443058ce9042d6f040320731248b241285db888c64bbb889f83dc246"
+PINNED = "7d4e1b81463f6b1bac4c952b8b8c7f69bf447952fc604bfaa45f1908c068e273"
 
 CLI_INPUTS = [
     ["absolute", "cp3.json", "--degrees", "1", "--points", "2"],
@@ -39,7 +40,12 @@ CLI_INPUTS = [
 ] + [["fgamma", name, "--mode", mode]
      for name in ("vertex_wedge1.json", "gamma_mu_21.json",
                   "gamma_mu_1111.json")
-     for mode in ("lambda", "q")]
+     for mode in ("lambda", "q")] + [
+    ["enumerate", "ends_family3_n2.json"],
+    ["enumerate", "ends_family3_n2.json", "--disconnected"],
+    ["verify-identities", "--suite", "s4"],
+    ["verify-identities", "--suite", "dt"],
+]
 
 
 def _weights_document() -> dict:
@@ -61,13 +67,13 @@ def _weights_document() -> dict:
 
 def _cli_document() -> dict:
     doc = {}
-    for command, name, *rest in CLI_INPUTS:
-        argv = [command, str(DATA / name), *rest,
-                "--format", "json", "--trace", "--seed", "0"]
+    for args in CLI_INPUTS:
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in args]
+        argv += ["--format", "json", "--trace", "--seed", "0"]
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = cli.main(argv)
-        doc[" ".join([command, name, *rest])] = [code, buf.getvalue()]
+        doc[" ".join(args)] = [code, buf.getvalue()]
     weights.clear_caches()
     return doc
 

@@ -195,6 +195,19 @@ def _sympy_placements(t, cycle):
     return out
 
 
+def _sympy_index(t, stratum):
+    """sympy's |det| of the evaluation image of deformation_space(t), the
+    full edge system's lattice, joined with the stratum's spanning columns."""
+    _, _, ev = _full_system(
+        t, lambda d: [list(r) for r in quotient_projection(d).entries])
+    lattice = deformation_space(t)
+    image = sympy.Matrix(ev) * sympy.Matrix(
+        lattice.rows, lattice.cols, [x for r in lattice.entries for x in r])
+    span = sympy.Matrix(stratum.span.rows, stratum.span.cols,
+                        [x for r in stratum.span.entries for x in r])
+    return abs(image.row_join(span).det())
+
+
 def _requests():
     for name in ("s3_family1_configA.json", "s3_family1_configB.json",
                  "s3_family3_n3_configA.json", "s3_family3_n3_configB.json"):
@@ -218,7 +231,7 @@ class TestPlacementOracle:
     def test_positions_and_lengths(self, name, ends, cycle, bounds, connected):
         placed = 0
         for t in enumerate_curve_types(list(ends), bounds, connected):
-            got = {p.stratum_index: p.curve for p in place_curves(t, cycle)}
+            got = {p.stratum_index: p for p in place_curves(t, cycle)}
             for si, want in enumerate(_sympy_placements(t, cycle)):
                 if want is not None and 0 in want[1].values():
                     continue    # a tie, decided by the perturbation
@@ -228,3 +241,13 @@ class TestPlacementOracle:
                 assert (got[si].positions, got[si].lengths) == want, t
                 placed += 1
         assert placed > 0
+
+    def test_index_is_the_determinant(self):
+        indices = []
+        for _, ends, cycle, bounds, connected in REQUESTS:
+            for t in enumerate_curve_types(list(ends), bounds, connected):
+                for p in place_curves(t, cycle):
+                    want = _sympy_index(t, cycle.strata[p.stratum_index])
+                    assert p.index == want, t
+                    indices.append(p.index)
+        assert indices and any(i != 1 for i in indices)

@@ -19,8 +19,6 @@ from tropgw.tropcurve import (
     UnbalancedCurve,
     are_isomorphic,
     automorphism_count,
-    evaluation_image,
-    evaluation_layout,
     genus,
     is_general,
     is_transverse,
@@ -204,14 +202,15 @@ def _ev_rows(t):
 class TestEvaluation:
     def test_full_rank_on_moduli(self):
         t = single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0))
+        # no loops: the forest coordinates are the deformation lattice itself
         assert len(_ev_rows(t)) == 6
-        assert rational_rank(evaluation_image(t).entries) == 3
+        assert rational_rank(_ev_rows(t)) == 3
 
     def test_zero_end_block_is_identity_on_position(self):
         t = single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0))
         ev = _ev_rows(t)
-        layout = evaluation_layout([d for _, d, _ in t.external_edges])
-        _, off, size = layout.blocks[1]
+        blocks = _evaluation_blocks(d for _, d, _ in t.external_edges)
+        off, size = (blocks[d].rows for _, d, _ in t.external_edges[:2])
         assert size == 3
         block = [row[:3] for row in ev[off:off + 3]]
         assert block == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
