@@ -1,10 +1,9 @@
 """Command line front end: JSON in, JSON or tables out.
 
-Exit codes: 0 success, 1 identity-suite failure, 2 parse error or
-malformed request, 4 unsupported vertex weight.  Code 3 (genericity
-exhaustion) is retired: constraint positions and resolution shifts are made
-generic by an infinitesimal tie-break, never resampled, and the "attempt" key
-of a count is always 0.
+Exit codes: 0 success, 1 identity-suite failure, 2 malformed input (every
+file goes through _read, which reports "path: field ..."), 4 unsupported
+vertex weight.  Code 3 is retired: nothing is resampled, and the "attempt"
+key of a count is always 0.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ import json
 import os
 import sys
 
-from .enumeration import SearchBounds, enumerate_curve_types
+from .enumeration import SearchBounds, _check_constraint, enumerate_curve_types
 from .exactnum import QHalfLaurent
 from .identities import SUITES
-from .invariants import (CountRequest, ToricFan, absolute_invariant,
-                         certified_count, reduced_dt, relative_invariant,
-                         weighted_count)
-from .tropcurve import CurveType
+from .invariants import (CountRequest, ToricFan, _check_degrees,
+                         absolute_invariant, certified_count, reduced_dt,
+                         relative_invariant, weighted_count)
+from .tropcurve import CurveType, _ints
 from .weights import UnsupportedVertex, curve_weight, weight_trace
 
 EXIT_IDENTITY = 1
@@ -32,19 +31,44 @@ class ParseFailure(Exception):
     pass
 
 
-def _load_json(path: str) -> dict:
+def _read(path: str, parse):
+    """parse applied to the JSON object in path.  Each way the file can be
+    malformed, a ValueError from parse naming the field among them, is a
+    ParseFailure that starts with the path."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise ParseFailure(f"{path}: no such file")
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object at the top level")
+        schema = data.get("schema", 1)
+        if type(schema) is not int or schema != 1:
+            raise ValueError(f"unsupported schema {schema!r}")
+        return parse(data)
+    except OSError as exc:
+        raise ParseFailure(f"{path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    if not isinstance(data, dict):
-        raise ParseFailure(f"{path}: expected a JSON object at the top level")
-    if data.get("schema", 1) != 1:
-        raise ParseFailure(f"{path}: unsupported schema {data.get('schema')}")
-    return data
+    except ValueError as exc:
+        raise ParseFailure(f"{path}: {exc}")
+
+
+def _relative(d: dict):
+    """(fan, degrees, alpha_ends, constraints) of a relative request."""
+    fan, degrees = ToricFan.from_json(d.get("fan")), d.get("degrees")
+    _check_degrees(fan, degrees)
+    alpha_ends = _ints(d.get("alpha_ends", []), "alpha_ends", 3, rows=True)
+    constraints = d.get("constraints", {})
+    if not (isinstance(constraints, dict)
+            and all(k.isdecimal() for k in constraints)):
+        raise ValueError(f"constraints must map decimal end labels to "
+                         f"constraints, got {constraints!r}")
+    for c in constraints.values():
+        _check_constraint(c)
+    return fan, degrees, alpha_ends, {int(k): c for k, c in constraints.items()}
+
+
+def _ends(d: dict):
+    return _ints(d.get("ends"), "ends", 3, rows=True)
 
 
 def _bounds_from_args(args, base: SearchBounds = SearchBounds()) -> SearchBounds:
@@ -104,11 +128,7 @@ def _emit_value(value, args, extra=None, contributions=None, bounds=None):
 
 
 def cmd_fgamma(args) -> int:
-    data = _load_json(args.type)
-    try:
-        t = CurveType.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"{args.type}: {exc}")
+    t = _read(args.type, CurveType.from_json)
     w = curve_weight(t, args.order, args.mode, args.seed)
     extra = None
     if args.trace:
@@ -117,11 +137,7 @@ def cmd_fgamma(args) -> int:
 
 
 def cmd_count(args) -> int:
-    data = _load_json(args.request)
-    try:
-        req = CountRequest.from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"{args.request}: {exc}")
+    req = _read(args.request, CountRequest.from_json)
     req = CountRequest(req.ends, req.cycle, req.connected, req.mode,
                        _bounds_from_args(args, req.bounds))
     if args.certify:
@@ -135,25 +151,19 @@ def cmd_count(args) -> int:
 
 
 def _parse_degrees(s: str, n: int) -> list[int]:
-    parts = [p for p in s.split(",") if p != ""]
-    if len(parts) == 1 and n > 1:
-        # a single number means that degree on every ray
-        try:
-            d = int(parts[0])
-        except ValueError:
-            raise ParseFailure(f"bad degree list {s!r}")
-        return [d] * n
     try:
-        out = [int(p) for p in parts]
+        out = [int(p) for p in s.split(",") if p != ""]
     except ValueError:
         raise ParseFailure(f"bad degree list {s!r}")
+    if len(out) == 1 and n > 1:
+        return out * n   # a single number means that degree on every ray
     if len(out) != n:
         raise ParseFailure(f"expected {n} degrees, got {len(out)}")
     return out
 
 
 def cmd_absolute(args) -> int:
-    fan = _fan_from(args.fan)
+    fan = _read(args.fan, ToricFan.from_json)
     degrees = _parse_degrees(args.degrees, len(fan.rays))
     value = absolute_invariant(fan, degrees, args.points, args.order,
                                args.seed, _bounds_from_args(args))
@@ -161,42 +171,22 @@ def cmd_absolute(args) -> int:
 
 
 def cmd_relative(args) -> int:
-    data = _load_json(args.request)
-    try:
-        fan = ToricFan.from_json(data["fan"])
-        degrees = list(data["degrees"])
-        alpha_ends = [tuple(e) for e in data.get("alpha_ends", [])]
-        constraints = {int(k): tuple(v) for k, v in
-                       data.get("constraints", {}).items()}
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseFailure(f"{args.request}: {exc}")
+    fan, degrees, alpha_ends, constraints = _read(args.request, _relative)
     value = relative_invariant(fan, degrees, alpha_ends, constraints,
                                args.order, args.seed, _bounds_from_args(args))
     return _emit_value(value, args)
 
 
 def cmd_dt(args) -> int:
-    fan = _fan_from(args.fan)
+    fan = _read(args.fan, ToricFan.from_json)
     degrees = _parse_degrees(args.degrees, len(fan.rays))
     value = reduced_dt(fan, degrees, args.points, args.order, args.seed,
                        _bounds_from_args(args))
     return _emit_value(value, args)
 
 
-def _fan_from(path: str) -> ToricFan:
-    data = _load_json(path)
-    try:
-        return ToricFan.from_json(data)
-    except (KeyError, ValueError) as exc:
-        raise ParseFailure(f"{path}: {exc}")
-
-
 def cmd_enumerate(args) -> int:
-    data = _load_json(args.ends)
-    try:
-        ends = [tuple(e) for e in data["ends"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseFailure(f"{args.ends}: {exc}")
+    ends = _read(args.ends, _ends)
     types = enumerate_curve_types(ends, _bounds_from_args(args),
                                   connected=not args.disconnected)
     if args.format == "json":
@@ -212,11 +202,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify_identities(args) -> int:
-    try:
-        suite = SUITES[args.suite]
-    except KeyError:
-        raise ParseFailure(f"unknown suite {args.suite!r}")
-    checks = suite(args.order, args.seed)
+    checks = SUITES[args.suite](args.order, args.seed)
     failures = [name for name, ok in checks if not ok]
     if args.format == "json":
         print(json.dumps({"schema": 1, "suite": args.suite,

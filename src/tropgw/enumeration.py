@@ -34,6 +34,7 @@ from .tropcurve import (
     _evaluation_blocks,
     _evaluation_rows,
     _is_general,
+    _ints,
     _tree_system,
     _vec3,
 )
@@ -109,33 +110,29 @@ class ConstraintCycle:
 
     @staticmethod
     def from_json(d: dict) -> "ConstraintCycle":
-        dim = d["ambient_dim"]
+        if not isinstance(d, dict):
+            raise ValueError(f"cycle must be an object, got {d!r}")
+        dim, strata = d.get("ambient_dim"), d.get("strata")
         if type(dim) is not int or dim < 0:
             raise ValueError(f"ambient_dim must be a non-negative integer, "
                              f"got {dim!r}")
-        strata = []
-        for s in d["strata"]:
-            base = tuple(_fraction(b, "base") for b in s["base"])
-            cols = s["spanning"]
-            # int() would read 1.5, "1" or true as 1 without notice
-            if not (isinstance(cols, list) and all(
-                    isinstance(c, list) and all(type(x) is int for x in c)
-                    for c in cols)):
-                raise ValueError(f"spanning must be a list of integer columns, "
-                                 f"got {cols!r}")
-            span = IntMatrix.from_cols(cols, rows_hint=dim)
-            mult = _fraction(s["multiplicity"], "multiplicity")
-            strata.append(Stratum(base, span, mult))
-        return ConstraintCycle(dim, tuple(strata))
+        if not (isinstance(strata, list) and all(isinstance(s, dict) for s in strata)):
+            raise ValueError(f"strata must be a list of objects, got {strata!r}")
+        return ConstraintCycle(dim, tuple(Stratum(
+            _fractions(s.get("base"), "base entries"),
+            IntMatrix.from_cols(_ints(s.get("spanning"), "spanning", dim, rows=True),
+                                rows_hint=dim),
+            _fractions([s.get("multiplicity")], "multiplicity entries")[0])
+            for s in strata))
 
 
-def _fraction(pair, what: str) -> Fraction:
-    """A JSON [numerator, denominator] pair as a Fraction."""
-    if not (isinstance(pair, list) and len(pair) == 2
-            and all(type(x) is int for x in pair) and pair[1] != 0):
-        raise ValueError(f"{what} entries must be [integer, nonzero integer] "
-                         f"pairs, got {pair!r}")
-    return Fraction(*pair)
+def _fractions(x, what: str) -> tuple[Fraction, ...]:
+    """A JSON list of [numerator, denominator] pairs as Fractions."""
+    pairs = _ints(x, what, rows=True)
+    if not all(len(p) == 2 and p[1] for p in pairs):
+        raise ValueError(f"{what} must be [integer, nonzero integer] pairs, "
+                         f"got {x!r}")
+    return tuple(Fraction(*p) for p in pairs)
 
 
 # constraints on a single end, in R^3 terms
@@ -428,6 +425,8 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
         # extra edges with free bounded derivatives, iterated
         layer = base_trees
         for _ in range(bounds.max_genus):
+            if not layer:
+                break
             nxt = []
             for t in layer:
                 if t.n_internal + 1 > bounds.max_internal_edges:

@@ -27,7 +27,7 @@ from .enumeration import (
     enumerate_curve_types,
     place_curves,
 )
-from .tropcurve import CurveType, automorphism_count
+from .tropcurve import CurveType, _ints, automorphism_count
 from .weights import curve_weight
 
 
@@ -89,20 +89,11 @@ class ToricFan:
 
     @staticmethod
     def from_json(d: dict) -> "ToricFan":
-        special = d.get("special_rays", [])
-        if not isinstance(special, list) or not all(type(i) is int for i in special):
-            raise ValueError("special_rays must be a list of integers")
-        return ToricFan(_int_tuples(d["rays"], "rays"),
-                        _int_tuples(d["cones"], "cones"),
-                        frozenset(special))
-
-
-def _int_tuples(items, what: str):
-    """A JSON list of lists of integers as a tuple of tuples."""
-    if not isinstance(items, list) or not all(
-            isinstance(x, list) and all(type(c) is int for c in x) for x in items):
-        raise ValueError(f"{what} must be lists of integers")
-    return tuple(tuple(x) for x in items)
+        if not isinstance(d, dict):
+            raise ValueError(f"fan must be an object, got {d!r}")
+        return ToricFan(_ints(d.get("rays"), "rays", 3, rows=True),
+                        _ints(d.get("cones"), "cones", rows=True),
+                        frozenset(_ints(d.get("special_rays", []), "special_rays")))
 
 
 def _faces(c: tuple[int, ...]):
@@ -161,8 +152,8 @@ class CountRequest:
         if connectedness not in ("connected", "disconnected-no-trivial"):
             raise ValueError(f"unknown connectedness {connectedness!r}")
         return CountRequest(
-            tuple(tuple(e) for e in d["ends"]),
-            ConstraintCycle.from_json(d["cycle"]),
+            _ints(d.get("ends"), "ends", 3, rows=True),
+            ConstraintCycle.from_json(d.get("cycle")),
             connectedness == "connected",
             d.get("mode", "lambda"),
             SearchBounds.from_json(d["bounds"]) if "bounds" in d else SearchBounds())
@@ -253,8 +244,8 @@ def _seeded_point(seed: int, which: int) -> tuple[Fraction, Fraction, Fraction]:
 
 def _check_degrees(fan: ToricFan, degrees: Sequence[int]):
     """One non-negative integer degree per ray of the fan."""
-    if len(degrees) != len(fan.rays):
-        raise ValueError("one degree per ray required")
+    if not isinstance(degrees, (list, tuple)) or len(degrees) != len(fan.rays):
+        raise ValueError(f"degrees: one degree per ray required, got {degrees!r}")
     if not all(type(d) is int for d in degrees):
         raise ValueError(f"degrees must be integers, got {list(degrees)!r}")
     if any(d < 0 for d in degrees):
@@ -265,6 +256,8 @@ def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int):
     """The ends of a degree class, d_i copies of ray i, followed by one marker
     end per point, and the seeded point constraints on the markers."""
     _check_degrees(fan, degrees)
+    if type(points) is not int or points < 0:
+        raise ValueError(f"points must be a non-negative integer, got {points!r}")
     if all(d == 0 for d in degrees):
         raise ValueError("the zero class is excluded")
     ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]

@@ -41,6 +41,20 @@ def _vec3(v: Sequence[int]) -> IntVec3:
     return tuple(v)
 
 
+def _ints(x, what: str, width: int | None = None, rows: bool = False) -> tuple:
+    """x as a tuple if it is a JSON list of integers, of width entries when a
+    width is given; with rows, a list of such lists as a tuple of tuples.
+    A bool, float or string is refused: int() would read 1.5, "1" or true as
+    1 without notice."""
+    items = x if rows and isinstance(x, list) else [x]
+    if all(isinstance(v, list) and width in (None, len(v))
+           and all(type(c) is int for c in v) for v in items):
+        return tuple(map(tuple, items)) if rows else tuple(x)
+    where = f" in Z^{width}" if width else ""
+    raise ValueError(f"{what} must be {'lists' if rows else 'a list'} of "
+                     f"integers{where}, got {x!r}")
+
+
 class UnbalancedCurve(ValueError):
     pass
 
@@ -65,7 +79,7 @@ class CurveType:
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertex ids")
         ies = tuple((t, h, _vec3(d)) for t, h, d in internal_edges)
-        ees = tuple((v, _vec3(d), int(l)) for v, d, l in external_edges)
+        ees = tuple((v, _vec3(d), l) for v, d, l in external_edges)
         t = CurveType(vs, ies, ees)
         t._validate()
         return t
@@ -201,11 +215,21 @@ class CurveType:
 
     @staticmethod
     def from_json(d: dict) -> "CurveType":
+        def edges(kind: str, ids: tuple[str, str]):
+            es = d.get(kind)
+            if not (isinstance(es, list) and all(isinstance(e, dict) for e in es)):
+                raise ValueError(f"{kind} must be a list of objects, got {es!r}")
+            for e in es:
+                for k in ids:
+                    if type(e.get(k)) is not int:
+                        raise ValueError(f"{kind} {k} must be an integer, "
+                                         f"got {e.get(k)!r}")
+            return [(e[ids[0]], e[ids[1]],
+                     _ints(e.get("derivative"), f"{kind} derivative", 3)) for e in es]
         return CurveType.make(
-            d["vertices"],
-            [(e["tail"], e["head"], e["derivative"]) for e in d["internal_edges"]],
-            [(e["vertex"], e["derivative"], e["label"]) for e in d["external_edges"]],
-        )
+            _ints(d.get("vertices"), "vertices"),
+            edges("internal_edges", ("tail", "head")),
+            [(v, dv, l) for v, l, dv in edges("external_edges", ("vertex", "label"))])
 
 
 # -- moduli ------------------------------------------------------------------

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from tropgw.invariants import CountRequest
 
 
 DATA = resources.files("tropgw") / "data"
+SRC = str(Path(cli.__file__).parent.parent)
 
 
 def run(capsys, *argv):
@@ -67,6 +72,20 @@ class TestFgamma:
         code, out, _ = run(capsys, "fgamma", str(f))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("label", 1.7), ("label", "1"), ("label", True), ("vertex", [0])])
+    def test_non_integer_edge_id_is_exit_2(self, tmp_path, capsys, key, value):
+        # int() used to read each label as 1, and a list endpoint was refused
+        # only by a TypeError with Python's own text
+        doc = json.loads((DATA / "vertex_wedge1.json").read_text())
+        doc["external_edges"][0][key] = value
+        f = tmp_path / "bad_id.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "fgamma", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"external_edges {key} must be an integer" in err
 
     def test_unsupported_vertex_is_exit_4(self, tmp_path, capsys):
         doc = {"vertices": [0], "internal_edges": [],
@@ -157,6 +176,15 @@ class TestToricCommands:
                            "--degrees", "1,2", "--points", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["absolute", "dt"])
+    def test_negative_points_are_exit_2(self, capsys, command):
+        # this used to be refused as a count of codimension 0
+        code, out, err = run(capsys, command, data_path("cp3.json"),
+                             "--degrees", "1", "--points", "-1")
+        assert code == 2
+        assert out == ""
+        assert "points must be a non-negative integer" in err
+
     def test_float_rays_are_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA / "cp3.json").read_text())
         doc["rays"] = [[float(x) for x in r] for r in doc["rays"]]
@@ -196,7 +224,7 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", str(f))
         assert code == 2
         assert out == ""
-        assert "Z^3" in err
+        assert "ends must be lists of integers" in err
 
 
 class TestMalformedInput:
@@ -233,11 +261,11 @@ class TestMalformedInput:
         ("multiplicity", [1, 0], "multiplicity entries"),
         ("multiplicity", [1.5, 1], "multiplicity entries"),
         # a number where a list or object belongs used to escape as a
-        # TypeError traceback with exit code 1
-        ("ends", 5, "not iterable"),
-        ("cycle", 4, "not subscriptable"),
-        ("strata", 3, "not iterable"),
-        ("base list", 7, "not iterable"),
+        # TypeError traceback with exit code 1; the message names the field
+        ("ends", 5, "ends must be"),
+        ("cycle", 4, "cycle must be"),
+        ("strata", 3, "strata must be"),
+        ("base list", 7, "base entries"),
     ])
     def test_malformed_count_request_is_exit_2(self, tmp_path, capsys,
                                                 field, value, message):
@@ -295,6 +323,25 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "unknown mode" in err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alpha_ends", [[1, 0]], "alpha_ends must be lists"),
+        ("alpha_ends", [[0, [0], 0], [0, 0, 0]], "alpha_ends must be lists"),
+        ("constraints", [1], "constraints must map"),
+        ("fan", 5, "fan must be an object"),
+    ])
+    def test_malformed_relative_request_is_exit_2(self, tmp_path, capsys,
+                                                  field, value, message):
+        # each of these used to escape as an IndexError, TypeError or
+        # AttributeError traceback with exit code 1
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc[field] = value
+        f = tmp_path / "relative_request.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("degree", ["1", 1.0])
     def test_non_integer_relative_degree_is_exit_2(self, tmp_path, capsys,
@@ -388,6 +435,21 @@ class TestVerifyIdentities:
     def test_unknown_suite_is_exit_2(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "verify-identities", "--suite", "nope")
+
+
+class TestGenusBound:
+    def test_huge_max_genus_stops_at_the_last_layer(self):
+        # each layer adds an internal edge, so the layers run out long before
+        # max_genus; the loop used to go on through empty layers
+        def enumerate_ends(max_genus):
+            return subprocess.run(
+                [sys.executable, "-m", "tropgw", "enumerate",
+                 data_path("ends_family3_n2.json"), "--max-genus", max_genus],
+                capture_output=True, timeout=30, check=True,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    p for p in (SRC, os.environ.get("PYTHONPATH")) if p))).stdout
+
+        assert enumerate_ends("1000000000000") == enumerate_ends("5")
 
 
 class TestSeedEnv:
