@@ -8,13 +8,18 @@ q^(1/2) = i*exp(i*x/2) reports its imaginary residue separately and returns a
 rational series.  No floats anywhere; truncation orders are tracked through
 every operation so a result never claims more precision than its inputs
 supported.
+
+The coefficient loops (products, inverses, the sine closed form and the
+substitution) run on Python integers: the inputs are written as integer
+numerators over one common denominator, and a Fraction is built once per
+output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Union
 
 ScalarLike = Union[int, Fraction, "GaussRational"]
@@ -26,6 +31,13 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _numerators(cs) -> tuple[list[int], int]:
+    """The Fractions ``cs`` as integer numerators over their least common
+    denominator."""
+    den = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
 
 
 @dataclass(frozen=True)
@@ -62,11 +74,21 @@ class GaussRational:
         return GaussRational.of(other) + (-self)
 
     def __mul__(self, other: ScalarLike) -> "GaussRational":
+        # most factors are real or purely imaginary (quantum-integer
+        # coefficients are powers of i, scalars are real): skip zero products
         o = GaussRational.of(other)
-        return GaussRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        re = im = _ZERO
+        if self.re:
+            if o.re:
+                re = self.re * o.re
+            if o.im:
+                im = self.re * o.im
+        if self.im:
+            if o.im:
+                re -= self.im * o.im
+            if o.re:
+                im += self.im * o.re
+        return GaussRational(re, im)
 
     __rmul__ = __mul__
 
@@ -187,16 +209,15 @@ class LaurentSeries:
         n = order - low + 1
         if n <= 0:
             return LaurentSeries.zero(order)
-        cs = [_ZERO] * n
-        for ia, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for ib, b in enumerate(other.coeffs):
-                k = ia + ib
-                if k >= n:
-                    break
-                cs[k] += a * b
-        return LaurentSeries(low, cs, order)
+        na, da = _numerators(self.coeffs[:n])
+        nb, db = _numerators(other.coeffs[:n])
+        cs = [0] * n
+        for ia, a in enumerate(na):
+            if a:
+                for k, b in enumerate(nb[:n - ia], ia):
+                    cs[k] += a * b
+        den = da * db
+        return LaurentSeries(low, [Fraction(c, den) for c in cs], order)
 
     def scale(self, c: int | Fraction) -> "LaurentSeries":
         c = _frac(c)
@@ -213,17 +234,20 @@ class LaurentSeries:
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
         v = self.low
-        lead = self.coeffs[0]
         norder = self.order - 2 * v
         m = self.order - v  # usable tail length
-        # invert 1 + t where t has positive valuation, by iteration
-        inv = [_ONE] + [_ZERO] * m
+        # With c_j/den the coefficients, 1/(1 + sum_j c_j/c_0 x^j) has x^k
+        # coefficient w_k/c_0^k, where w_0 = 1 and
+        # w_k = -sum_j c_j c_0^(j-1) w_(k-j); the inverse divides by c_0/den.
+        c, den = _numerators(self.coeffs[:m + 1])
+        lead = c[0]
+        a = [cj * lead ** (j - 1) for j, cj in enumerate(c) if j]
+        w = [1]
         for k in range(1, m + 1):
-            acc = _ZERO
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc += (self.coeffs[j] / lead) * inv[k - j]
-            inv[k] = -acc
-        return LaurentSeries(-v, [c / lead for c in inv], norder)
+            w.append(-sum(a[j] * w[k - 1 - j] for j in range(min(k, len(a)))))
+        return LaurentSeries(
+            -v, [Fraction(den * wk, lead ** (k + 1)) for k, wk in enumerate(w)],
+            norder)
 
     def truncate(self, order: int) -> "LaurentSeries":
         if order >= self.order:
@@ -400,16 +424,10 @@ def two_sin_half(n: int, order: int) -> LaurentSeries:
     """2*sin(n*x/2) as a truncated series; the basic trivalent-vertex bracket."""
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    half = Fraction(n, 2)
-    cs = {}
-    e = 1
-    while e <= order:
-        j = (e - 1) // 2
-        cs[e] = 2 * (-1) ** j * half ** e / factorial(e)
-        e += 2
-    lo = min(cs) if cs else 0
-    coeffs = [cs.get(k, Fraction(0)) for k in range(lo, order + 1)] if cs else []
-    return LaurentSeries(lo, coeffs, order)
+    # x^e coefficient, e odd: 2 (-1)^((e-1)/2) (n/2)^e / e!
+    coeffs = [Fraction((-1) ** (e // 2) * n ** e, 2 ** (e - 1) * factorial(e))
+              if e % 2 else _ZERO for e in range(1, order + 1)]
+    return LaurentSeries(1, coeffs, order)
 
 
 def normalized_sin_half(n: int, order: int) -> LaurentSeries:
@@ -437,15 +455,22 @@ def q_to_lambda(p: QHalfLaurent, order: int) -> tuple[LaurentSeries, bool]:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    re = [_ZERO] * (order + 1)
-    im = [_ZERO] * (order + 1)
-    for h, c in p.terms:
-        # c * q^(h/2) = c * i^h * exp(i*h*x/2), whose x^j coefficient is
-        # c * i^(h+j) * (h/2)^j / j!
-        t = _ONE
+    # c * q^(h/2) = c * i^h * exp(i*h*x/2), whose x^j coefficient is
+    # c * i^(h+j) * h^j / (2^j j!).  With c = (a + b*i)/den over one
+    # denominator, multiplying by i^(h+j) only rotates the integers (a, b).
+    nums, den = _numerators([x for _, c in p.terms for x in (c.re, c.im)])
+    re = [0] * (order + 1)
+    im = [0] * (order + 1)
+    for (h, _), a, b in zip(p.terms, nums[::2], nums[1::2]):
+        turns = ((a, b), (-b, a), (-a, -b), (b, -a))
+        hj = 1
         for j in range(order + 1):
-            z = c * GaussRational.i_power(h + j)
-            re[j] += z.re * t
-            im[j] += z.im * t
-            t = t * Fraction(h, 2) / (j + 1)
-    return LaurentSeries(0, re, order), not any(im)
+            x, y = turns[(h + j) % 4]
+            re[j] += x * hj
+            im[j] += y * hj
+            hj *= h
+    cs = []
+    for j in range(order + 1):
+        cs.append(Fraction(re[j], den))
+        den *= 2 * (j + 1)
+    return LaurentSeries(0, cs, order), not any(im)

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import series_oracle
 
 from tropgw.exactnum import (
     GaussRational,
@@ -183,6 +185,18 @@ class TestSubstitution:
 
 small_gauss = st.builds(GaussRational, small_fracs, small_fracs)
 
+fracs_or_zero = st.one_of(st.just(F(0)), small_fracs)
+gauss_with_zeros = st.builds(GaussRational, fracs_or_zero, fracs_or_zero)
+
+
+class TestGaussProduct:
+    @given(gauss_with_zeros, gauss_with_zeros)
+    def test_matches_four_products(self, a, b):
+        # the product skips zero factors; the plain formula does not
+        want = GaussRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+        assert a * b == want
+        assert a * b.re == GaussRational(a.re * b.re, a.im * b.re)
+
 
 class TestSubstitutionOracle:
     @given(st.dictionaries(st.integers(min_value=-6, max_value=6), small_gauss,
@@ -206,3 +220,71 @@ class TestSubstitutionOracle:
             assert ser.coeff(e) == Fraction(int(re.p), int(re.q))
             residue = residue or im != 0
         assert real == (not residue)
+
+
+# numerators up to 10^12 over denominators up to 10^6, with zeros mixed in so
+# that canonical-form stripping and the zero-skipping branches are exercised
+wide_fracs = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-10**12, max_value=10**12),
+              st.integers(min_value=1, max_value=10**6)))
+
+
+def wide_series():
+    return st.one_of(
+        st.builds(LaurentSeries.zero, st.integers(min_value=-5, max_value=12)),
+        st.builds(
+            lambda low, cs, extra: LaurentSeries(low, cs, low + len(cs) - 1 + extra),
+            st.integers(min_value=-5, max_value=5),
+            st.lists(wide_fracs, min_size=0, max_size=12),
+            st.integers(min_value=0, max_value=8)))
+
+
+def _same(got: LaurentSeries, want: LaurentSeries):
+    assert (got.coeffs, got.low, got.order) == (want.coeffs, want.low, want.order)
+
+
+class TestKernelsAgainstOracle:
+    """Each integer kernel against the Fraction loop of series_oracle."""
+
+    @given(wide_series(), wide_series())
+    # a stored list far longer than the product's order
+    @example(LaurentSeries(0, [F(k + 1, 7 ** k) for k in range(12)], 11),
+             LaurentSeries(-2, [F(3, 5)], 0))
+    def test_mul(self, a, b):
+        _same(a * b, series_oracle.mul(a, b))
+
+    @given(wide_series())
+    def test_inverse(self, a):
+        if a.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+            return
+        _same(a.inverse(), series_oracle.inverse(a))
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=-1, max_value=30))
+    def test_two_sin_half(self, n, order):
+        _same(two_sin_half(n, order), series_oracle.two_sin_half(n, order))
+
+    @given(st.dictionaries(st.integers(min_value=-40, max_value=40),
+                           st.builds(GaussRational, wide_fracs, wide_fracs),
+                           max_size=6),
+           st.integers(min_value=0, max_value=20))
+    def test_q_to_lambda(self, terms, order):
+        p = QHalfLaurent(terms.items())
+        got, got_real = q_to_lambda(p, order)
+        want, want_real = series_oracle.q_to_lambda(p, order)
+        _same(got, want)
+        assert got_real == want_real
+
+    @given(st.integers(min_value=1, max_value=12),
+           st.integers(min_value=1, max_value=12),
+           st.sampled_from([F(1), F(-1), F(1, 3)]))
+    def test_q_to_lambda_of_real_products(self, m, n, c):
+        # a real q-polynomial: both sides must set the flag
+        p = (quantum_integer_q(m) * quantum_integer_q(n)).scale(c)
+        got, got_real = q_to_lambda(p, 16)
+        want, want_real = series_oracle.q_to_lambda(p, 16)
+        _same(got, want)
+        assert got_real and want_real

@@ -1,6 +1,10 @@
 """Checks on the source text itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tropgw
@@ -14,3 +18,22 @@ def test_source_has_no_assert_statements():
              for node in ast.walk(ast.parse(p.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # the package declares no dependencies: importing it must not pull in
+    # numpy, sympy or any other third-party module
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import tropgw.cli\n"
+            "print(json.dumps(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "tropgw.cli" in loaded
+    foreign = [m for m in loaded if m.partition(".")[0] != "tropgw"
+               and m.partition(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
