@@ -9,8 +9,8 @@ rational series.  No floats anywhere; truncation orders are tracked through
 every operation so a result never claims more precision than its inputs
 supported.
 
-The coefficient loops (products, inverses, the sine closed form and the
-substitution) run on Python integers: the inputs are written as integer
+The coefficient loops (sums, products, inverses, the sine closed form and
+the substitution) run on Python integers: the inputs are written as integer
 numerators over one common denominator, and a Fraction is built once per
 output coefficient.
 """
@@ -187,13 +187,15 @@ class LaurentSeries:
             return self.truncate(order)
         low = min(self.low, other.low)
         n = order - low + 1
-        cs = [_ZERO] * n
-        for s in (self, other):
-            for j, c in enumerate(s.coeffs):
-                k = s.low + j - low
-                if 0 <= k < n:
-                    cs[k] += c
-        return LaurentSeries(low, cs, order)
+        # a series may start above the sum's order and add nothing
+        na, da = _numerators(self.coeffs[:max(order - self.low + 1, 0)])
+        nb, db = _numerators(other.coeffs[:max(order - other.low + 1, 0)])
+        den = lcm(da, db)
+        cs = [0] * n
+        for s, nums, f in ((self, na, den // da), (other, nb, den // db)):
+            for k, c in enumerate(nums, s.low - low):
+                cs[k] += c * f
+        return LaurentSeries(low, [Fraction(c, den) for c in cs], order)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.low, tuple(-c for c in self.coeffs), self.order)
@@ -271,11 +273,9 @@ class LaurentSeries:
     def __hash__(self):
         return hash((self.low, self.coeffs, self.order))
 
-    def agrees(self, other: "LaurentSeries", through: int | None = None) -> bool:
+    def agrees(self, other: "LaurentSeries") -> bool:
         """Coefficientwise equality on the jointly known exponent range."""
         top = min(self.order, other.order)
-        if through is not None:
-            top = min(top, through)
         lo = min(self._eff_low(), other._eff_low())
         return all(self.coeff(e) == other.coeff(e) for e in range(lo, top + 1))
 
@@ -428,11 +428,6 @@ def two_sin_half(n: int, order: int) -> LaurentSeries:
     coeffs = [Fraction((-1) ** (e // 2) * n ** e, 2 ** (e - 1) * factorial(e))
               if e % 2 else _ZERO for e in range(1, order + 1)]
     return LaurentSeries(1, coeffs, order)
-
-
-def normalized_sin_half(n: int, order: int) -> LaurentSeries:
-    """2*sin(n*x/2)/n; leading coefficient 1 for every n."""
-    return two_sin_half(n, order).scale(Fraction(1, n))
 
 
 def quantum_integer_q(n: int) -> QHalfLaurent:

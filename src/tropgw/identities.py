@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, isqrt, lcm
 
 from .exactnum import (
     LaurentSeries,
@@ -201,10 +201,7 @@ def gamma_mu(n, mu) -> CurveType:
 
 
 def expected_gamma_mu_weight(mu, order: int) -> LaurentSeries:
-    l = 1
-    for m in mu:
-        l = l * m // gcd(l, m)
-    acc = LaurentSeries.monomial(Fraction(1, l), 0, order)
+    acc = LaurentSeries.monomial(Fraction(1, lcm(*mu)), 0, order)
     for m in mu:
         bm = two_sin_half(m, order)
         acc = acc * bm * bm.scale(Fraction(1, m))
@@ -268,8 +265,9 @@ def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
         for mu in _partitions(total):
             if len(mu) == 1:
                 continue
+            w = curve_weight(gamma_mu(total, mu), order, "lambda", seed)
             checks.append((f"loop family consistency for mu={mu}",
-                           substitution_consistent(gamma_mu(total, mu), order, seed)))
+                           w.agrees(expected_gamma_mu_weight(mu, order))))
     dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, order, seed)
     checks.append(("product-of-lines reduced DT equals q",
                    dt == QHalfLaurent.monomial(1, 2)))

@@ -11,24 +11,26 @@ solvable resolution contributes its own lattice index times the product of
 its vertex-curve weights over their automorphisms; the total is independent
 of the shift, which the test suite checks across seeds.
 
-Each (type, seed) has one memoized derivation record holding that data.  The
-Laurent-series weight and its q-polynomial counterpart both evaluate it, with
-different closed forms at trivalent vertices, and weight_trace prints it.
+Each (type, seed) has one memoized derivation record holding that data,
+which weight_trace prints, and the exact q weight evaluated from it.  The
+series weight is that q weight at q^(1/2) = i e^(i x/2), times x per
+zero-derivative end.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .exactnum import (
     LaurentSeries,
     QHalfLaurent,
-    normalized_sin_half,
     q_to_lambda,
     quantum_integer_q,
 )
@@ -86,24 +88,32 @@ def _wedge(star: CurveType):
     raise UnsupportedVertex("vertex with several zero-derivative ends")
 
 
-def _vertex_weight(n, order: int | None, mode: str):
-    """2 sin(n x/2)/n or x on the lambda side; (i^-(1+n) q^(n/2) +
-    i^(1+n) q^(-n/2))/n or 1 on the q side (n is the wedge or "marker")."""
-    if mode == "lambda":
-        return (LaurentSeries.monomial(1, 1, order) if n == "marker"
-                else normalized_sin_half(n, order))
+def _vertex_weight(n) -> QHalfLaurent:
+    """(i^-(1+n) q^(n/2) + i^(1+n) q^(-n/2))/n, or 1 at a marker vertex
+    (n is the wedge or "marker")."""
     return (QHalfLaurent.one() if n == "marker"
             else quantum_integer_q(n).scale(Fraction(1, n)))
 
 
 def vertex_series(star: CurveType, order: int) -> LaurentSeries:
     """Series weight of a single-vertex type (trivalent closed forms)."""
-    return _vertex_weight(_wedge(star), order, "lambda")
+    return _substitute(vertex_qpoly(star), order, star.zero_end_count())
 
 
 def vertex_qpoly(star: CurveType) -> QHalfLaurent:
     """q-polynomial weight of a single-vertex type."""
-    return _vertex_weight(_wedge(star), None, "q")
+    return _vertex_weight(_wedge(star))
+
+
+def _substitute(w: QHalfLaurent, top: int, k: int) -> LaurentSeries:
+    """x^k times w at q^(1/2) = i e^(i x/2), known through x^top.  An
+    imaginary residue means the q weight is wrong, never a valid series."""
+    if top < k:
+        return LaurentSeries.zero(top)
+    sub, real = q_to_lambda(w, top - k)
+    if not real:
+        raise InvariantError("q weight substitutes to a non-real series")
+    return sub.shift(k)
 
 
 # -- shift sampling ------------------------------------------------------------
@@ -374,18 +384,18 @@ def _int_row(row: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass
 class _Derivation:
-    """What a (type, seed) weight is made of, found once for both modes.
+    """What a (type, seed) weight is made of, found once for every query.
 
     kind "disconnected": parts are the component types.  "transverse": the
     multiplicity and, as parts, the vertex wedges (_wedge) in vertex order.
     "resolved": parts are (index, ((vertex curve, automorphism count), ...))
-    per resolution.  weights holds the evaluations by (order, mode).
+    per resolution.  weight is the q weight, once evaluated.
     """
 
     kind: str
     parts: tuple
     multiplicity: int = 1
-    weights: dict = field(default_factory=dict)
+    weight: QHalfLaurent | None = None
 
 
 _DERIVATIONS: dict = {}
@@ -429,33 +439,35 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     """Weight of a general curve type: multiplicity times the vertex weights
     if transverse, else the sum over shift resolutions of index times the
-    replacement weights over their automorphisms, evaluated recursively."""
+    replacement weights over their automorphisms, evaluated recursively on
+    the q side.  The series weight is known through x^order, or through
+    x^(order + vertices - 1) if transverse."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
     rec = _derivation(t, seed)
-    w = rec.weights.get((order, mode))
-    if w is not None:
-        return w
-    one = LaurentSeries.one(order) if mode == "lambda" else QHalfLaurent.one()
-    if rec.kind == "disconnected":
-        for c in rec.parts:
-            cw = curve_weight(c, order, mode, seed)
-            w = cw if w is None else w * cw
-    elif rec.kind == "transverse":
-        w = one.scale(rec.multiplicity)
-        for n in rec.parts:
-            w = w * _vertex_weight(n, order, mode)
-    else:
-        w = one.scale(0)
-        for index, parts in rec.parts:
-            prod = one.scale(index)
-            for part, aut in parts:
-                prod = prod * curve_weight(part, order, mode, seed)
-                if aut != 1:
-                    prod = prod.scale(Fraction(1, aut))
-            w = w + prod
-    rec.weights[(order, mode)] = w
-    return w
+    if mode == "lambda":
+        if rec.kind == "disconnected":
+            return reduce(mul, (curve_weight(c, order, mode, seed)
+                                for c in rec.parts))
+        top = order + t.n_vertices - 1 if rec.kind == "transverse" else order
+        return _substitute(curve_weight(t, order, "q", seed), top,
+                           t.zero_end_count())
+    if rec.weight is None:
+        if rec.kind == "resolved":
+            w = QHalfLaurent.zero()
+            for index, parts in rec.parts:
+                prod = QHalfLaurent.one().scale(index)
+                for part, aut in parts:
+                    prod = prod * curve_weight(part, order, mode, seed).scale(
+                        Fraction(1, aut))
+                w = w + prod
+        else:
+            w = QHalfLaurent.one().scale(rec.multiplicity)
+            for p in rec.parts:
+                w = w * (_vertex_weight(p) if rec.kind == "transverse"
+                         else curve_weight(p, order, mode, seed))
+        rec.weight = w
+    return rec.weight
 
 
 def weight_trace(t: CurveType, seed: int = 0) -> dict:
@@ -483,12 +495,6 @@ def weight_trace(t: CurveType, seed: int = 0) -> dict:
 
 
 def substitution_consistent(t: CurveType, order: int, seed: int = 0) -> bool:
-    """Check that the q-weight substituted at q^(1/2) = i e^(i x/2) matches the
-    series weight divided by one power of x per zero-derivative end."""
-    wq = curve_weight(t, order, "q", seed)
-    wl = curve_weight(t, order, "lambda", seed)
-    sub, real = q_to_lambda(wq, order)
-    if not real:
-        return False
-    kzero = t.zero_end_count()
-    return sub.agrees(wl.shift(-kzero))
+    """Whether the q weight substituted at q^(1/2) = i e^(i x/2) is a real
+    series through x^order, as the series weight derived from it must be."""
+    return q_to_lambda(curve_weight(t, order, "q", seed), order)[1]

@@ -14,6 +14,24 @@ from tropgw.exactnum import LaurentSeries, QHalfLaurent
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))   # i^m as (re, im), m mod 4
 
 
+def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """The truncated sum, one Fraction addition per stored coefficient."""
+    order = min(a.order, b.order)
+    if a.is_zero():
+        return b.truncate(order)
+    if b.is_zero():
+        return a.truncate(order)
+    low = min(a.low, b.low)
+    n = order - low + 1
+    cs = [Fraction(0)] * n
+    for s in (a, b):
+        for j, c in enumerate(s.coeffs):
+            k = s.low + j - low
+            if 0 <= k < n:
+                cs[k] += c
+    return LaurentSeries(low, cs, order)
+
+
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """The truncated product, by direct convolution."""
     # the zero series counts as supported from its own order upwards

@@ -6,11 +6,12 @@ Criterion 9 reruns the seed-consuming criteria across five seeds.
 """
 
 import random
+from fractions import Fraction
 from math import gcd
 
 from tropgw.enumeration import (SearchBounds, _partitions, cycle_from_constraints,
                                  enumerate_curve_types)
-from tropgw.exactnum import LaurentSeries, normalized_sin_half, two_sin_half
+from tropgw.exactnum import LaurentSeries, two_sin_half
 from tropgw.identities import (brackets_by_recursion, expected_gamma_mu_weight,
                                gamma_mu, partition_identity_holds)
 from tropgw.invariants import (CountRequest, absolute_invariant, cp3_fan,
@@ -20,6 +21,7 @@ from tropgw.tropcurve import (CurveType, are_isomorphic, is_transverse,
                               loop_multiplicity)
 from tropgw.weights import curve_weight, substitution_consistent
 
+import lambda_oracle
 from edge_system import multiplicity
 
 ORDER = 20
@@ -123,7 +125,12 @@ def corpus_for_dt():
 
 
 def criterion_7_values(seed):
+    """Per corpus type: the q weight substitutes to a real series, and the
+    series weight derived from it equals the one the lambda-side oracle
+    evaluates from the same resolutions."""
     return {i: substitution_consistent(t, ORDER, seed)
+            and curve_weight(t, ORDER, "lambda", seed).to_json()
+            == lambda_oracle.weight(t, ORDER, seed).to_json()
             for i, t in enumerate(corpus_for_dt())}
 
 
@@ -133,7 +140,7 @@ def criterion_7_values(seed):
 def test_criterion_1_vertex_closed_form():
     values = criterion_1_values(seed=0)
     for n in range(1, 13):
-        assert values[n].agrees(normalized_sin_half(n, ORDER)), n
+        assert values[n].agrees(two_sin_half(n, ORDER).scale(Fraction(1, n))), n
     print("ACCEPTANCE 1: PASS - vertex weight equals 2 sin(n x/2)/n "
           "coefficientwise to x^20 for n = 1..12")
 
@@ -181,8 +188,9 @@ def test_criterion_6_p1cubed_anchor():
 def test_criterion_7_gw_dt_bridge():
     results = criterion_7_values(seed=0)
     assert all(results.values())
-    print(f"ACCEPTANCE 7: PASS - q-weight substitution matches the series "
-          f"weight divided by x^k on all {len(results)} corpus types")
+    print(f"ACCEPTANCE 7: PASS - x^k times the substituted q weight equals "
+          f"the series weight evaluated on the lambda side on all "
+          f"{len(results)} corpus types")
 
 
 def test_criterion_8_multiplicity_oracle():

@@ -9,7 +9,6 @@ from tropgw.exactnum import (
     GaussRational,
     LaurentSeries,
     QHalfLaurent,
-    normalized_sin_half,
     q_to_lambda,
     quantum_integer_q,
     two_sin_half,
@@ -24,7 +23,7 @@ class TestSinHalf:
     def test_n1_k5_taylor(self):
         # oracle: Taylor expansion of 2 sin(x/2), computed independently with
         # sympy and frozen here
-        s = normalized_sin_half(1, 5)
+        s = two_sin_half(1, 5)
         assert s.low == 1
         assert s.coeff(1) == F(1)
         assert s.coeff(2) == 0
@@ -32,13 +31,13 @@ class TestSinHalf:
         assert s.coeff(5) == F(1, 1920)
 
     def test_n2_is_plain_sine(self):
-        s = normalized_sin_half(2, 3)
+        s = two_sin_half(2, 3).scale(F(1, 2))
         assert s.coeff(1) == F(1)
         assert s.coeff(3) == F(-1, 6)
 
     def test_leading_term_is_x_for_all_n(self):
         for n in range(1, 13):
-            s = normalized_sin_half(n, 20)
+            s = two_sin_half(n, 20).scale(F(1, n))
             assert s.low == 1
             assert s.coeff(1) == F(1)
 
@@ -77,7 +76,7 @@ class TestSeriesArithmetic:
 
     def test_zero_annihilates(self):
         z = LaurentSeries.zero(20)
-        s = normalized_sin_half(3, 20)
+        s = two_sin_half(3, 20)
         assert (z * s).is_zero()
         assert (s * z).is_zero()
 
@@ -88,22 +87,22 @@ class TestSeriesArithmetic:
         assert inv.order == 3  # two powers lost to the valuation
 
     def test_truncate_cannot_extend(self):
-        s = normalized_sin_half(1, 5)
+        s = two_sin_half(1, 5)
         with pytest.raises(ValueError):
             s.truncate(9)
 
     def test_coefficients_are_fractions(self):
-        s = normalized_sin_half(3, 9) * LaurentSeries.monomial(2, -1, 9)
+        s = two_sin_half(3, 9) * LaurentSeries.monomial(2, -1, 9)
         assert all(type(c) is Fraction for c in s.coeffs)
 
     def test_rational_json_round_trip(self):
-        s = normalized_sin_half(2, 7).scale(F(-5, 3)).shift(-2)
+        s = two_sin_half(2, 7).scale(F(-5, 6)).shift(-2)
         back = LaurentSeries.from_json(s.to_json())
         assert back == s
 
     def test_gaussian_scale_is_refused(self):
         with pytest.raises(TypeError):
-            normalized_sin_half(2, 7).scale(GaussRational(F(1, 3), F(2)))
+            two_sin_half(2, 7).scale(GaussRational(F(1, 3), F(2)))
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -246,6 +245,17 @@ def _same(got: LaurentSeries, want: LaurentSeries):
 
 class TestKernelsAgainstOracle:
     """Each integer kernel against the Fraction loop of series_oracle."""
+
+    @given(wide_series(), wide_series())
+    # a stored list reaching past the sum's order, cut at a nonzero entry
+    @example(LaurentSeries(0, [F(k + 1, 7 ** k) for k in range(12)], 11),
+             LaurentSeries(-2, [F(3, 5)], 3))
+    # a series starting above the sum's order
+    @example(LaurentSeries(2, [F(1, 2), F(1, 3), F(1, 5)], 6),
+             LaurentSeries(-1, [F(2, 3)], 0))
+    def test_add(self, a, b):
+        _same(a + b, series_oracle.add(a, b))
+        _same(a - b, series_oracle.add(a, -b))
 
     @given(wide_series(), wide_series())
     # a stored list far longer than the product's order

@@ -37,3 +37,11 @@ def test_cli_import_loads_only_the_standard_library():
     foreign = [m for m in loaded if m.partition(".")[0] != "tropgw"
                and m.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_weights_name_no_sine_closed_form():
+    # the series weight is the substituted q weight; a sine closed form in
+    # weights would be a second evaluator beside it
+    text = (SRC / "weights.py").read_text()
+    assert [n for n in ("two_sin_half", "normalized_sin_half")
+            if n in text] == []

@@ -1,14 +1,19 @@
+import json
 from fractions import Fraction
+from importlib import resources
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lambda_oracle
+
 from tropgw import weights
-from tropgw.exactnum import (LaurentSeries, QHalfLaurent, normalized_sin_half,
-                             q_to_lambda, quantum_integer_q, two_sin_half)
+from tropgw.enumeration import SearchBounds, _partitions, enumerate_curve_types
+from tropgw.exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
+                             quantum_integer_q, two_sin_half)
 from tropgw.identities import gamma_mu
-from tropgw.lattice import IntMatrix
+from tropgw.lattice import IntMatrix, InvariantError
 from tropgw.tropcurve import CurveType, genus
 from tropgw.weights import (
     UnsupportedVertex,
@@ -44,7 +49,7 @@ def expected_mu_weight(mu, order=K):
 class TestVertexWeights:
     def test_primitive_pair(self):
         s = vertex_series(single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0)), K)
-        assert s.agrees(normalized_sin_half(1, K))
+        assert s.agrees(two_sin_half(1, K))
 
     def test_marker_vertex_is_monomial(self):
         s = vertex_series(single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0)), K)
@@ -52,7 +57,7 @@ class TestVertexWeights:
 
     def test_wedge_four(self):
         s = vertex_series(single_vertex((2, 0, 0), (0, 2, 0), (-2, -2, 0)), K)
-        assert s.agrees(normalized_sin_half(4, K))
+        assert s.agrees(two_sin_half(4, K).scale(Fraction(1, 4)))
 
     def test_q_primitive_pair(self):
         p = vertex_qpoly(single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0)))
@@ -82,7 +87,7 @@ class TestTransverseWeight:
             [(0, (-1, 0, 0), 1), (0, (0, -1, 0), 2),
              (1, (1, 0, 0), 3), (1, (0, 1, 0), 4)])
         w = curve_weight(t, K, "lambda")
-        per_vertex = normalized_sin_half(1, K)
+        per_vertex = two_sin_half(1, K)
         assert w.agrees(per_vertex * per_vertex)
 
     def test_single_vertex(self):
@@ -243,7 +248,7 @@ class TestCurveWeight:
             [(0, (1, 0, 0), 1), (0, (0, 1, 0), 2), (0, (-1, -1, 0), 3),
              (1, (0, 0, 1), 4), (1, (1, 0, 0), 5), (1, (-1, 0, -1), 6)])
         w = curve_weight(t, K, "lambda")
-        one = normalized_sin_half(1, K)
+        one = two_sin_half(1, K)
         assert w.agrees(one * one)
 
     def test_seed_independence(self):
@@ -309,5 +314,92 @@ class TestSubstitutionConsistency:
         wq = curve_weight(t, K, "q", seed=1)
         sub, real = q_to_lambda(wq, K)
         assert real
-        wl = curve_weight(t, K, "lambda", seed=1)
-        assert sub.agrees(wl)  # no marker ends on this type
+        # no marker ends on this type, so no power of x to restore
+        assert sub.to_json() == lambda_oracle.weight(t, K, seed=1).to_json()
+
+    def test_imaginary_residue_is_refused(self, monkeypatch):
+        # a vertex weight of q^(1/2) substitutes to i e^(i x/2)
+        monkeypatch.setattr(weights, "_vertex_weight",
+                            lambda n: QHalfLaurent.monomial(1, 1))
+        weights.clear_caches()
+        t = single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0))
+        try:
+            assert not substitution_consistent(t, K)
+            with pytest.raises(InvariantError):
+                curve_weight(t, K, "lambda")
+        finally:
+            weights.clear_caches()
+
+
+ORDERS = (1, 2, 4, 12, 20)
+ZERO = (0, 0, 0)
+P3_RAYS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+
+
+def _bundled_type(name):
+    doc = (resources.files("tropgw") / "data" / name).read_text()
+    return CurveType.from_json(json.loads(doc))
+
+
+def _derived_corpus(group):
+    """(type, seed) pairs of one corpus group."""
+    if group == "gamma_mu":
+        return [(gamma_mu(n, mu), seed) for n in range(1, 6)
+                for mu in _partitions(n) for seed in (0, 15)]
+    if group == "bundled":
+        return [(_bundled_type(name), seed) for name in
+                ("vertex_wedge1.json", "gamma_mu_21.json", "gamma_mu_1111.json")
+                for seed in (0, 15)]
+    ends, connected = {
+        # transverse types with two marker vertices
+        "p3_two_markers": (P3_RAYS + [ZERO, ZERO], True),
+        # 58 of the 148 types are resolved with two marker ends: at order 1
+        # the series is known through x^1, below the x^2 the markers give
+        "loops_two_markers": ([(1, 0, 0), (0, 1, 0), (-1, 0, 2),
+                               (0, -1, -2), ZERO, ZERO], True),
+        "two_tripods": ([(1, 0, 0), (0, 1, 0), (-1, -1, 0),
+                         (0, 0, 1), (1, 0, -1), (-1, 0, 0)], False),
+        "tripod_and_marker": ([(1, 0, 0), (0, 1, 0), (-1, -1, 0),
+                               (0, 0, 1), ZERO, (0, 0, -1)], False),
+    }[group]
+    return [(t, 0) for t in enumerate_curve_types(ends, SearchBounds(),
+                                                  connected=connected)]
+
+
+class TestDerivedSeries:
+    """The series weight, derived from the q weight by one substitution,
+    against the series evaluated directly on the lambda side."""
+
+    @pytest.mark.parametrize("group", [
+        "gamma_mu", "bundled", "p3_two_markers", "loops_two_markers",
+        "two_tripods", "tripod_and_marker"])
+    def test_matches_the_lambda_oracle(self, group):
+        kinds = set()
+        for t, seed in _derived_corpus(group):
+            kinds.add(weights._derivation(t, seed).kind)
+            for order in ORDERS:
+                got = curve_weight(t, order, "lambda", seed).to_json()
+                want = lambda_oracle.weight(t, order, seed).to_json()
+                assert got == want, (group, order, seed)
+        if group in ("two_tripods", "tripod_and_marker"):
+            assert "disconnected" in kinds
+
+    def test_fewer_orders_than_markers_is_zero(self):
+        # no coefficient is asked of the substitution below x^k
+        t = next(t for t, _ in _derived_corpus("loops_two_markers")
+                 if weights._derivation(t, 0).kind == "resolved")
+        assert t.zero_end_count() == 2
+        assert curve_weight(t, 1, "lambda") == LaurentSeries.zero(1)
+        valuation = 2 * genus(t) - 2 + t.n_ends
+        assert curve_weight(t, valuation, "lambda").low == valuation
+
+    @pytest.mark.parametrize("seed", [0, 1, 15])
+    def test_q_weight_closed_form(self, seed):
+        # (1/lcm mu) prod_m [m]_q^2 / m, the q side of expected_mu_weight
+        for n in range(1, 6):
+            for mu in _partitions(n):
+                want = QHalfLaurent.one().scale(Fraction(1, lcm(mu)))
+                for m in mu:
+                    qm = quantum_integer_q(m)
+                    want = want * qm * qm.scale(Fraction(1, m))
+                assert curve_weight(gamma_mu(n, mu), K, "q", seed) == want, mu
