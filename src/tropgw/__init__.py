@@ -2,8 +2,8 @@
 
 from .exactnum import (GaussRational, LaurentSeries, QHalfLaurent,
                        q_to_lambda, quantum_integer_q, two_sin_half)
-from .lattice import (INFINITE, IntMatrix, integral_kernel, lattice_index,
-                      primitive_part, quotient_projection, wedge_index)
+from .lattice import (INFINITE, integral_kernel, lattice_index, primitive_part,
+                      quotient_projection, wedge_index)
 from .tropcurve import (CurveType, automorphism_count, genus, is_general,
                         is_transverse, loop_multiplicity, vertex_star)
 from .enumeration import (ConstraintCycle, Placement, SearchBounds, Stratum,

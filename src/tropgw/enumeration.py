@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .lattice import (
     INFINITE,
-    IntMatrix,
     InvariantError,
     integral_kernel,
     lattice_index,
@@ -80,7 +79,7 @@ class SearchBounds:
 @dataclass(frozen=True)
 class Stratum:
     base: tuple[Fraction, ...]
-    span: IntMatrix                     # columns: integral tangent lattice
+    span: tuple[tuple[int, ...], ...]   # basis of the integral tangent lattice
     multiplicity: Fraction
 
 
@@ -93,17 +92,20 @@ class ConstraintCycle:
 
     def __post_init__(self):
         for s in self.strata:
-            if len(s.base) != self.ambient_dim or s.span.rows != self.ambient_dim:
+            if len(s.base) != self.ambient_dim:
                 raise ValueError("stratum does not match the ambient dimension")
-            if s.span.cols and rational_rank(s.span.entries) != s.span.cols:
-                raise ValueError("stratum spanning columns must be independent")
+            if any(len(v) != self.ambient_dim for v in s.span):
+                raise ValueError("stratum spanning vectors do not match the "
+                                 "ambient dimension")
+            if rational_rank(s.span) != len(s.span):
+                raise ValueError("stratum spanning vectors must be independent")
 
     def to_json(self) -> dict:
         return {
             "ambient_dim": self.ambient_dim,
             "strata": [{
                 "base": [[b.numerator, b.denominator] for b in s.base],
-                "spanning": [list(c) for c in s.span.columns()],
+                "spanning": [list(v) for v in s.span],
                 "multiplicity": [s.multiplicity.numerator, s.multiplicity.denominator],
             } for s in self.strata],
         }
@@ -120,8 +122,7 @@ class ConstraintCycle:
             raise ValueError(f"strata must be a list of objects, got {strata!r}")
         return ConstraintCycle(dim, tuple(Stratum(
             _fractions(s.get("base"), "base entries"),
-            IntMatrix.from_cols(_ints(s.get("spanning"), "spanning", dim, rows=True),
-                                rows_hint=dim),
+            _ints(s.get("spanning"), "spanning", dim, rows=True),
             _fractions([s.get("multiplicity")], "multiplicity entries")[0])
             for s in strata))
 
@@ -177,38 +178,40 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
         _check_constraint(con)
     # one block per end in label order: 3 rows for a zero end, 2 otherwise
     blocks = _evaluation_blocks(tuple(e) for e in ends)
-    total = sum(blocks[tuple(d)].rows for d in ends)
+    total = sum(len(blocks[tuple(d)]) for d in ends)
     base: list[Fraction] = []
-    span_cols: list[list[int]] = []
+    span: list[tuple[int, ...]] = []
 
-    def push_cols(local_cols, offset):
-        for c in local_cols:
-            col = [0] * total
-            for i, x in enumerate(c):
-                col[offset + i] = x
-            span_cols.append(col)
+    def push(local_vectors, offset):
+        for c in local_vectors:
+            v = [0] * total
+            v[offset:offset + len(c)] = c
+            span.append(tuple(v))
+
+    def image(block, v):
+        return [sum(a * x for a, x in zip(r, v)) for r in block]
 
     for label, d in enumerate(ends, 1):
         d = tuple(d)
         block = blocks[d]
-        off, size = len(base), block.rows
+        off, size = len(base), len(block)
         con = constraints.get(label)
         if con is None:
             base.extend([Fraction(0)] * size)
-            push_cols(IntMatrix.identity(size).columns(), off)
+            push([[int(i == j) for i in range(size)] for j in range(size)], off)
         elif con[0] == "point":
-            base.extend(block.mul_vec([Fraction(x) for x in con[1]]))
+            base.extend(image(block, [Fraction(x) for x in con[1]]))
         else:
             _, coord, value = con
             if d[coord] != 0:
                 raise ValueError(
                     f"plane x_{coord}={value} does not constrain an end of derivative {d}")
-            base.extend(block.mul_vec([Fraction(value if i == coord else 0)
-                                       for i in range(3)]))
-            dirs = [c for j, c in enumerate(block.columns()) if j != coord]
-            push_cols(saturation([c for c in dirs if any(c)], size).columns(), off)
-    span = IntMatrix.from_cols(span_cols, rows_hint=total)
-    return ConstraintCycle(total, (Stratum(tuple(base), span, Fraction(1)),))
+            base.extend(image(block, [Fraction(value if i == coord else 0)
+                                      for i in range(3)]))
+            dirs = [c for j, c in enumerate(zip(*block)) if j != coord]
+            push(saturation([c for c in dirs if any(c)], size), off)
+    return ConstraintCycle(
+        total, (Stratum(tuple(base), tuple(span), Fraction(1)),))
 
 
 # -- tree shapes ---------------------------------------------------------------
@@ -577,7 +580,7 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
 
     The index of a placement is the lattice index of the evaluation image of
     the deformation lattice (the integral kernel of the loop rows) together
-    with the stratum's spanning columns.  For a general t and a stratum of
+    with the stratum's spanning vectors.  For a general t and a stratum of
     codimension t.n_ends, the pairs weighted_count makes, these are square
     and, the solution being unique, independent, so the index is finite; an
     infinite one raises InvariantError.
@@ -590,8 +593,10 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
     image = None
     out = []
     for si, stratum in enumerate(cycle.strata):
-        rows = [r + [0] * stratum.span.cols for r in loops]
-        rows += [r + [-x for x in sr] for r, sr in zip(ev, stratum.span.entries)]
+        # the spanning vectors are the columns of the stratum's block
+        span_rows = [[v[i] for v in stratum.span] for i in range(len(ev))]
+        rows = [r + [0] * len(stratum.span) for r in loops]
+        rows += [r + [-x for x in sr] for r, sr in zip(ev, span_rows)]
         sol = solve_rational(rows, [0] * len(loops) + list(stratum.base))
         if sol is None or sol[1]:
             continue
@@ -605,11 +610,10 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
         positions = {v: tuple(sum(a * x for a, x in zip(r, part)) for r in forms[v])
                      for v in t.vertices}
         if image is None:
-            kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
-            image = IntMatrix.from_rows(ev, cols_hint=ncols).mul(kernel)
-        index = lattice_index(IntMatrix.from_rows(
-            [a + b for a, b in zip(image.entries, stratum.span.entries)],
-            cols_hint=image.cols + stratum.span.cols))
+            kernel = integral_kernel(loops, ncols)
+            image = [[sum(a * x for a, x in zip(r, k)) for k in kernel]
+                     for r in ev]
+        index = lattice_index([a + b for a, b in zip(image, span_rows)])
         if index is INFINITE:
             raise InvariantError(
                 "a unique placement needs a direct sum of the evaluation "

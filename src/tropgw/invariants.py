@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .exactnum import LaurentSeries, QHalfLaurent
 from .feasibility import cone_meets_cone
-from .lattice import IntMatrix, lattice_index, primitive_part
+from .lattice import lattice_index, primitive_part
 from .enumeration import (
     ConstraintCycle,
     SearchBounds,
@@ -79,7 +79,7 @@ class ToricFan:
         # a cone is smooth when its rays extend to a basis of Z^3, that is
         # when its ray rows map Z^3 onto Z^(rays)
         return all(
-            lattice_index(IntMatrix.from_rows([self.rays[i] for i in c])) == 1
+            lattice_index([self.rays[i] for i in c]) == 1
             for c in self.cones)
 
     def to_json(self) -> dict:
@@ -191,7 +191,7 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
     """
     n_ends = len(req.ends)
     for i, s in enumerate(req.cycle.strata):
-        codim = req.cycle.ambient_dim - s.span.cols
+        codim = req.cycle.ambient_dim - len(s.span)
         if codim != n_ends:
             raise ValueError(
                 f"stratum {i} has codimension {codim}, expected {n_ends} "

@@ -8,14 +8,17 @@ question: lattice indices, saturated integral kernels and the canonical
 rank-2 quotient projections.  Besides these: primitive vectors and wedge
 indices.  Matrices are tiny (tens of rows at most), so everything is plain
 arbitrary-precision arithmetic with no sparsity tricks.
+
+A matrix is the sequence of its integer rows.  A column count is passed only
+where a matrix may have no rows (integral_kernel, saturation); everywhere
+else it is the length of the first row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class InvariantError(RuntimeError):
@@ -40,68 +43,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 IntVec = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, row-major; shape is explicit so zero-row and
-    zero-column matrices keep their dimensions."""
-
-    entries: tuple[tuple[int, ...], ...]
-    rows: int
-    cols: int
-
-    @staticmethod
-    def from_rows(rows: Iterable[Sequence[int]], cols_hint: int = 0) -> "IntMatrix":
-        rs = tuple(tuple(int(x) for x in r) for r in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
-            raise ValueError("ragged rows")
-        c = len(rs[0]) if rs else cols_hint
-        return IntMatrix(rs, len(rs), c)
-
-    @staticmethod
-    def from_cols(cols: Iterable[Sequence[int]], rows_hint: int = 0) -> "IntMatrix":
-        cs = [tuple(int(x) for x in c) for c in cols]
-        if not cs:
-            return IntMatrix(tuple(() for _ in range(rows_hint)), rows_hint, 0)
-        m = len(cs[0])
-        if any(len(c) != m for c in cs):
-            raise ValueError("ragged columns")
-        return IntMatrix(tuple(tuple(c[i] for c in cs) for i in range(m)), m, len(cs))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)), n, n)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)),
-                         rows, cols)
-
-    def col(self, j: int) -> IntVec:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> list[IntVec]:
-        return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        if self.rows == 0 or self.cols == 0:
-            return IntMatrix.zero(self.cols, self.rows)
-        return IntMatrix(tuple(zip(*self.entries)), self.cols, self.rows)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose()
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot.entries)
-            for row in self.entries), self.rows, other.cols)
-
-    def mul_vec(self, v: Sequence) -> tuple:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
 def _column_reduce(rows: Sequence[Sequence[int]],
@@ -142,14 +83,15 @@ def _column_reduce(rows: Sequence[Sequence[int]],
     return pivots, [c[nrows:] for c in cols]
 
 
-def lattice_index(m: IntMatrix) -> int | _Infinite:
-    """Index of the column span of m inside the full integer lattice of its rows.
+def lattice_index(rows: Sequence[Sequence[int]]) -> int | _Infinite:
+    """Index of the column span of the matrix inside the full integer
+    lattice of its rows.
 
-    Finite exactly when m has full row rank; then it is the product of the
-    absolute pivot entries of the column echelon form.
+    Finite exactly when the matrix has full row rank; then it is the product
+    of the absolute pivot entries of the column echelon form.
     """
-    pivots, _ = _column_reduce(m.entries, m.cols)
-    if len(pivots) < m.rows:
+    pivots, _ = _column_reduce(rows, len(rows[0]) if rows else 0)
+    if len(pivots) < len(rows):
         return INFINITE
     return prod(abs(x) for _, x in pivots)
 
@@ -175,8 +117,9 @@ def wedge_index(a: Sequence[int], b: Sequence[int]) -> int:
     return g
 
 
-def quotient_projection(alpha: Sequence[int]) -> IntMatrix:
-    """The canonical 2x3 projection killing alpha and mapping Z^3 onto Z^2.
+def quotient_projection(alpha: Sequence[int]) -> tuple[IntVec, IntVec]:
+    """The two rows of the canonical 2x3 projection killing alpha and mapping
+    Z^3 onto Z^2.
 
     Deterministic in primitive_part(alpha): the column reduction of the one
     row primitive_part(alpha) leaves two non-pivot columns of its unimodular
@@ -184,25 +127,21 @@ def quotient_projection(alpha: Sequence[int]) -> IntMatrix:
     """
     p, _ = primitive_part(alpha)
     ((piv, _),), v = _column_reduce([p], 3)
-    return IntMatrix.from_rows([v[(piv + 1) % 3], v[(piv + 2) % 3]])
+    return tuple(v[(piv + 1) % 3]), tuple(v[(piv + 2) % 3])
 
 
-def integral_kernel(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of the saturated integral kernel of m."""
-    pivots, v = _column_reduce(m.entries, m.cols)
+def integral_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
+    """A basis of the saturated integral kernel of the matrix with ncols
+    columns."""
+    pivots, v = _column_reduce(rows, ncols)
     used = {j for j, _ in pivots}
-    return IntMatrix.from_cols([c for j, c in enumerate(v) if j not in used],
-                               rows_hint=m.cols)
+    return [tuple(c) for j, c in enumerate(v) if j not in used]
 
 
-def saturation(cols: Sequence[IntVec], ambient_dim: int) -> IntMatrix:
-    """Basis of the saturation of the span of the given integral columns."""
-    if not cols:
-        return IntMatrix.zero(ambient_dim, 0)
-    m = IntMatrix.from_cols(cols, rows_hint=ambient_dim)
+def saturation(vectors: Sequence[IntVec], dim: int) -> list[IntVec]:
+    """Basis of the saturation of the span of the given vectors in Z^dim."""
     # orthogonal complement of the span, then its orthogonal complement
-    perp = integral_kernel(m.transpose())
-    return integral_kernel(perp.transpose())
+    return integral_kernel(integral_kernel(vectors, dim), dim)
 
 
 # -- fraction-free elimination -----------------------------------------------

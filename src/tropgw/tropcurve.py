@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .lattice import (
     INFINITE,
-    IntMatrix,
     lattice_index,
     quotient_projection,
     rational_rank,
@@ -191,10 +190,12 @@ class CurveType:
         ies[i] = (h, t, tuple(-x for x in d))
         return CurveType(self.vertices, tuple(ies), self.external_edges)
 
-    def map_derivatives(self, m: IntMatrix) -> "CurveType":
-        """Apply an integral-linear map to every derivative vector."""
-        ies = tuple((t, h, tuple(m.mul_vec(d))) for t, h, d in self.internal_edges)
-        ees = tuple((v, tuple(m.mul_vec(d)), l) for v, d, l in self.external_edges)
+    def map_derivatives(self, m: Sequence[Sequence[int]]) -> "CurveType":
+        """Apply the integral-linear map with rows m to every derivative."""
+        def image(d):
+            return tuple(sum(a * x for a, x in zip(r, d)) for r in m)
+        ies = tuple((t, h, image(d)) for t, h, d in self.internal_edges)
+        ees = tuple((v, image(d), l) for v, d, l in self.external_edges)
         return CurveType.make(self.vertices, ies, ees)
 
     def canonical_key(self):
@@ -241,12 +242,13 @@ def genus(t: CurveType) -> int:
     return t.n_internal - t.n_vertices + 1
 
 
-def _evaluation_blocks(ends: Iterable[IntVec3]) -> dict[IntVec3, IntMatrix]:
-    """The evaluation block of each distinct end derivative: the identity on
-    the attached vertex position for a zero derivative, else the projection
-    killing the derivative (the position of the end's line, not the point)."""
-    return {d: IntMatrix.identity(3) if d == (0, 0, 0) else quotient_projection(d)
-            for d in set(ends)}
+def _evaluation_blocks(ends: Iterable[IntVec3]) -> dict[IntVec3, tuple]:
+    """The rows of the evaluation block of each distinct end derivative: the
+    identity on the attached vertex position for a zero derivative, else the
+    projection killing the derivative (the position of the end's line, not
+    the point)."""
+    return {d: ((1, 0, 0), (0, 1, 0), (0, 0, 1)) if d == (0, 0, 0)
+            else quotient_projection(d) for d in set(ends)}
 
 
 _Positions = dict[int, tuple[list[int], ...]]   # vertex -> 3 coordinate rows
@@ -317,14 +319,14 @@ def _tree_system(t: CurveType) -> tuple[int, int, _Positions, list[list[int]]]:
 
 
 def _evaluation_rows(t: CurveType, positions: _Positions,
-                     blocks: dict[IntVec3, IntMatrix]) -> list[list[int]]:
+                     blocks: dict[IntVec3, tuple]) -> list[list[int]]:
     """The end blocks in label order, blocks[d] for an end of derivative d,
     applied to the tree position of the end's vertex."""
     rows = []
     for v, d, _ in sorted(t.external_edges, key=lambda end: end[2]):
         at = list(zip(*positions[v]))
         rows.extend([b0 * x + b1 * y + b2 * z for x, y, z in at]
-                    for b0, b1, b2 in blocks[d].entries)
+                    for b0, b1, b2 in blocks[d])
     return rows
 
 
@@ -345,7 +347,7 @@ def loop_multiplicity(t: CurveType) -> int:
     if not t.is_connected():
         raise DisconnectedCurve("loop relations need a connected curve")
     *_, loops = _tree_system(t)
-    idx = lattice_index(IntMatrix.from_rows(loops))
+    idx = lattice_index(loops)
     if idx is INFINITE:
         raise ValueError("loop multiplicity requires a transverse curve")
     return idx
@@ -366,7 +368,7 @@ def is_general(t: CurveType) -> bool:
         t, _evaluation_blocks(d for _, d, _ in t.external_edges))
 
 
-def _is_general(t: CurveType, blocks: dict[IntVec3, IntMatrix]) -> bool:
+def _is_general(t: CurveType, blocks: dict[IntVec3, tuple]) -> bool:
     """is_general with the evaluation blocks of t's end derivatives given."""
     _, ncols, positions, loops = _tree_system(t)
     if rational_rank(loops) != ncols - t.n_ends:

@@ -37,7 +37,6 @@ from .exactnum import (
 from .feasibility import positive_combinations
 from .lattice import (
     INFINITE,
-    IntMatrix,
     InvariantError,
     lattice_index,
     quotient_projection,
@@ -240,7 +239,8 @@ class _ResolutionSolver:
                 for ai, bi, sa, sb, d in self.edge_info]
 
     def projected_shifts(self, shifts):
-        return [self.proj[d].mul_vec(shifts[ei])
+        return [[sum(p * x for p, x in zip(row, shifts[ei]))
+                 for row in self.proj[d]]
                 for ei, (_, _, d) in enumerate(self.t.internal_edges)]
 
     def classify(self, reps, invs, pshifts) -> int | None:
@@ -302,7 +302,7 @@ class _ResolutionSolver:
         eps-moved shift and the system is never solvable there."""
         k = len(wires)
         blocks, length_cols = self._glue(reps, wires)
-        projs = [self.proj[d].entries for *_, d in wires]
+        projs = [self.proj[d] for *_, d in wires]
         rows = [[sum(p * x for p, x in zip(prow, col)) for col in zip(*block)]
                 for block, proj in zip(blocks, projs) for prow in proj]
         if not rows:
@@ -345,7 +345,7 @@ class _ResolutionSolver:
         rows = [[-d[c] if e == ei else 0 for e in range(k)] + block[c]
                 for ei, ((*_, d), block) in enumerate(zip(wires, blocks))
                 for c in range(3)]
-        idx = lattice_index(IntMatrix.from_rows(rows))
+        idx = lattice_index(rows)
         if idx is INFINITE:
             raise InvariantError("solvable wiring must have finite index")
         return idx

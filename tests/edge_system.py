@@ -6,11 +6,11 @@ x_head - x_tail - d * length = 0 directly on vertex positions and lengths,
 sharing no code with the forest system, so the tests can compare the two.
 """
 
-from tropgw.lattice import INFINITE, IntMatrix, integral_kernel, lattice_index
+from tropgw.lattice import INFINITE, integral_kernel, lattice_index
 from tropgw.tropcurve import CurveType
 
 
-def edge_equation_matrix(t: CurveType) -> IntMatrix:
+def edge_equation_matrix(t: CurveType) -> list[list[int]]:
     """The 3k x (3n + k) system: x_head - x_tail - d*l = 0 per internal edge,
     columns 3 per vertex in t.vertices order, then one length per edge."""
     vindex = {v: i for i, v in enumerate(t.vertices)}
@@ -23,13 +23,14 @@ def edge_equation_matrix(t: CurveType) -> IntMatrix:
             row[3 * vindex[tail] + c] -= 1
             row[3 * nv + e] -= d[c]
             rows.append(row)
-    return IntMatrix.from_rows(rows, cols_hint=3 * nv + k)
+    return rows
 
 
-def deformation_space(t: CurveType) -> IntMatrix:
-    """The integral tangent lattice of the type: its columns are a basis of
-    the saturated integral kernel of the edge equations."""
-    return integral_kernel(edge_equation_matrix(t))
+def deformation_space(t: CurveType) -> list[tuple[int, ...]]:
+    """The integral tangent lattice of the type: a basis of the saturated
+    integral kernel of the edge equations."""
+    return integral_kernel(edge_equation_matrix(t),
+                           3 * t.n_vertices + t.n_internal)
 
 
 def multiplicity(t: CurveType) -> int:

@@ -170,3 +170,22 @@ class TestCycleJson:
         cyc = cycle_from_constraints(ends, {2: ("point", (1, 2, 3))})
         back = ConstraintCycle.from_json(cyc.to_json())
         assert back == cyc
+
+    def test_round_trip_without_spanning_vectors(self):
+        # every end on a point: the stratum is that point, with no tangents
+        ends = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+        cyc = cycle_from_constraints(
+            ends, {label: ("point", (0, 0, 0)) for label in (1, 2, 3)})
+        assert cyc.strata[0].span == ()
+        assert ConstraintCycle.from_json(cyc.to_json()) == cyc
+
+    def test_spanning_vector_of_wrong_length_is_refused(self):
+        cyc = cycle_from_constraints([(1, 0, 0), (0, 1, 0), (-1, -1, 0)], {})
+        doc = cyc.to_json()
+        doc["strata"][0]["spanning"][0].append(0)
+        with pytest.raises(ValueError, match="spanning"):
+            ConstraintCycle.from_json(doc)
+        s = cyc.strata[0]
+        with pytest.raises(ValueError, match="spanning"):
+            ConstraintCycle(cyc.ambient_dim, (replace(
+                s, span=(s.span[0] + (0,),) + s.span[1:]),))

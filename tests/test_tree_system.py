@@ -19,7 +19,7 @@ from tropgw.enumeration import (
 from tropgw.identities import gamma_mu
 from tropgw.invariants import (CountRequest, _degree_ends, cp3_fan,
                                p1_cubed_fan)
-from tropgw.lattice import IntMatrix, integral_kernel, quotient_projection
+from tropgw.lattice import integral_kernel, quotient_projection
 from tropgw.tropcurve import _tree_system
 
 from edge_system import deformation_space, edge_equation_matrix
@@ -55,7 +55,7 @@ def _full_system(t, block):
     evaluation rows, block(d) for an end of derivative d, in label order."""
     ncols = 3 * t.n_vertices + t.n_internal
     at = {v: 3 * i for i, v in enumerate(t.vertices)}
-    edges = [list(r) for r in edge_equation_matrix(t).entries]
+    edges = edge_equation_matrix(t)
     ev = []
     for v, d, _ in sorted(t.external_edges, key=lambda e: e[2]):
         rows = ([[int(i == c) for c in range(3)] for i in range(3)]
@@ -116,24 +116,25 @@ class TestGeneralityOracle:
 def _forest_lattice(t):
     """The forest coordinates' lattice on vertex positions and lengths: the
     position forms (3 rows per vertex, t.vertices order) and the length rows
-    of _tree_system times the integral kernel of its loop rows."""
+    of _tree_system applied to each vector of the integral kernel of its loop
+    rows."""
     n_roots, ncols, positions, loops = _tree_system(t)
     rows = [row for v in t.vertices for row in positions[v]]
     rows += [[int(c == n_roots + e) for c in range(ncols)]
              for e in range(t.n_internal)]
-    kernel = integral_kernel(IntMatrix.from_rows(loops, cols_hint=ncols))
-    return IntMatrix.from_rows(rows).mul(kernel)
+    return [[sum(a * x for a, x in zip(r, k)) for r in rows]
+            for k in integral_kernel(loops, ncols)]
 
 
 def _assert_spans_deformation_space(t):
-    """The columns lie in the edge system's kernel, have its rank and span
+    """The vectors lie in the edge system's kernel, have its rank and span
     a saturated lattice (every invariant factor 1), so they are a basis of
     the lattice of deformation_space(t)."""
-    cols = _forest_lattice(t)
-    assert not any(any(r) for r in edge_equation_matrix(t).mul(cols).entries), t
-    factors = invariant_factors(sympy.Matrix(cols.rows, cols.cols, [
-        x for r in cols.entries for x in r]), domain=sympy.ZZ)
-    assert cols.cols == len(factors) == deformation_space(t).cols, t
+    basis = _forest_lattice(t)
+    assert not any(sum(a * x for a, x in zip(r, v))
+                   for r in edge_equation_matrix(t) for v in basis), t
+    factors = invariant_factors(sympy.Matrix(basis), domain=sympy.ZZ)
+    assert len(basis) == len(factors) == len(deformation_space(t)), t
     assert all(abs(int(f)) == 1 for f in factors), t
 
 
@@ -171,14 +172,13 @@ class TestDeformationLatticeOracle:
 def _sympy_placements(t, cycle):
     """Per stratum: sympy's unique solution of the full system through the
     stratum as (positions, lengths), or None when there is none."""
-    ncols, edges, ev = _full_system(
-        t, lambda d: [list(r) for r in quotient_projection(d).entries])
+    ncols, edges, ev = _full_system(t, quotient_projection)
     out = []
     for stratum in cycle.strata:
-        k = stratum.span.cols
+        k = len(stratum.span)
         rows = [r + [0] * k + [0] for r in edges]
-        rows += [r + [-x for x in s] + [b]
-                 for r, s, b in zip(ev, stratum.span.entries, stratum.base)]
+        rows += [r + [-v[i] for v in stratum.span] + [b]
+                 for i, (r, b) in enumerate(zip(ev, stratum.base))]
         n = ncols + k
         aug = DomainMatrix([[QQ.convert(x) for x in r] for r in rows],
                            (len(rows), n + 1), QQ)
@@ -197,14 +197,12 @@ def _sympy_placements(t, cycle):
 
 def _sympy_index(t, stratum):
     """sympy's |det| of the evaluation image of deformation_space(t), the
-    full edge system's lattice, joined with the stratum's spanning columns."""
-    _, _, ev = _full_system(
-        t, lambda d: [list(r) for r in quotient_projection(d).entries])
-    lattice = deformation_space(t)
-    image = sympy.Matrix(ev) * sympy.Matrix(
-        lattice.rows, lattice.cols, [x for r in lattice.entries for x in r])
-    span = sympy.Matrix(stratum.span.rows, stratum.span.cols,
-                        [x for r in stratum.span.entries for x in r])
+    full edge system's lattice, joined with the stratum's spanning vectors as
+    columns."""
+    _, _, ev = _full_system(t, quotient_projection)
+    image = sympy.Matrix(ev) * sympy.Matrix(deformation_space(t)).T
+    span = sympy.Matrix(len(ev), len(stratum.span),
+                        lambda i, j: stratum.span[j][i])
     return abs(image.row_join(span).det())
 
 

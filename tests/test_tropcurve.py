@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tropgw.identities import gamma_mu
-from tropgw.lattice import IntMatrix, quotient_projection, rational_rank
+from tropgw.lattice import quotient_projection, rational_rank
 from tropgw.tropcurve import (
     CurveType,
     _canonical_form,
@@ -27,6 +27,11 @@ from tropgw.tropcurve import (
 )
 
 from edge_system import deformation_space, edge_equation_matrix, multiplicity
+
+
+def _apply(m, v):
+    """The integer matrix with rows m applied to the vector v."""
+    return tuple(sum(a * x for a, x in zip(r, v)) for r in m)
 
 
 def single_vertex(*ends):
@@ -74,20 +79,20 @@ class TestStructure:
 class TestDeformationSpace:
     def test_single_vertex_translations(self):
         ds = deformation_space(single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0)))
-        assert ds.cols == 3
+        assert len(ds) == 3
 
     def test_four_end_chain(self):
-        assert deformation_space(FOUR_END).cols == 4
+        assert len(deformation_space(FOUR_END)) == 4
 
     def test_gamma_11(self):
         # the two edge equation blocks coincide on the solution space
-        assert deformation_space(gamma_mu(2, (1, 1))).cols == 4
+        assert len(deformation_space(gamma_mu(2, (1, 1)))) == 4
 
     def test_solution_lattice_annihilated(self):
         for t in (FOUR_END, gamma_mu(2, (1, 1)), TRIANGLE):
             a = edge_equation_matrix(t)
-            for col in deformation_space(t).columns():
-                assert a.mul_vec(col) == (0,) * a.rows
+            for v in deformation_space(t):
+                assert _apply(a, v) == (0,) * len(a)
 
 
 class TestTransversality:
@@ -164,7 +169,7 @@ class TestOrientationIndependence:
                 f = t.flip_edge(i)
                 assert is_transverse(f) == is_transverse(t)
                 assert is_general(f) == is_general(t)
-                assert deformation_space(f).cols == deformation_space(t).cols
+                assert len(deformation_space(f)) == len(deformation_space(t))
                 if is_transverse(t):
                     assert multiplicity(f) == multiplicity(t)
                 assert t.canonical_key() == f.canonical_key()
@@ -176,7 +181,7 @@ def _random_unimodular(rng):
         i, j = rng.sample(range(3), 2)
         q = rng.randint(-2, 2)
         rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 class TestUnimodularInvariance:
@@ -210,7 +215,7 @@ class TestEvaluation:
         t = single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0))
         ev = _ev_rows(t)
         blocks = _evaluation_blocks(d for _, d, _ in t.external_edges)
-        off, size = (blocks[d].rows for _, d, _ in t.external_edges[:2])
+        off, size = (len(blocks[d]) for _, d, _ in t.external_edges[:2])
         assert size == 3
         block = [row[:3] for row in ev[off:off + 3]]
         assert block == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -220,9 +225,9 @@ class TestEvaluation:
         # every vertex with it, and leaves the length fixed
         t = FOUR_END
         w = (3, -1, 2)
-        moved = IntMatrix.from_rows(_ev_rows(t)).mul_vec([*w, 0])
+        moved = _apply(_ev_rows(t), [*w, 0])
         expect = [x for _, d, _ in sorted(t.external_edges, key=lambda e: e[2])
-                  for x in quotient_projection(d).mul_vec(w)]
+                  for x in _apply(quotient_projection(d), w)]
         assert list(moved) == expect
 
 

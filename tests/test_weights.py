@@ -13,7 +13,7 @@ from tropgw.enumeration import SearchBounds, _partitions, enumerate_curve_types
 from tropgw.exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
                              quantum_integer_q, two_sin_half)
 from tropgw.identities import gamma_mu
-from tropgw.lattice import IntMatrix, InvariantError
+from tropgw.lattice import InvariantError
 from tropgw.tropcurve import CurveType, genus
 from tropgw.weights import (
     UnsupportedVertex,
@@ -270,7 +270,7 @@ def _random_unimodular(rng):
         i, j = rng.sample(range(3), 2)
         q = rng.randint(-2, 2)
         rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 class TestInvariance:
