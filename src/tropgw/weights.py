@@ -8,8 +8,8 @@ curve with matching outgoing derivatives, glued by signed connector lengths.
 A sign test that ties at s is decided at s + eps e_1 + eps^2 e_2 + ... over
 the raw shift coordinates, so every shift acts as a generic one.  Each
 solvable resolution contributes its own lattice index times the product of
-its vertex-curve weights over their automorphisms; the total is independent
-of the shift, which the test suite checks across seeds.
+its vertex-curve weights; the total is independent of the shift, which the
+test suite checks across seeds.
 
 Each (type, seed) has one memoized derivation record holding that data,
 which weight_trace prints, and the exact q weight evaluated from it.  The
@@ -48,7 +48,6 @@ from .tropcurve import (
     CurveType,
     _canonical_form,
     _tree_system,
-    automorphism_count,
     is_general,
     is_transverse,
     loop_multiplicity,
@@ -58,10 +57,6 @@ from .tropcurve import (
 
 class UnsupportedVertex(ValueError):
     """A vertex weight the source material does not define (refused, not guessed)."""
-
-
-class DepthExceeded(Exception):
-    """A resolution failed to reduce the internal edge count."""
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -388,8 +383,9 @@ class _Derivation:
 
     kind "disconnected": parts are the component types.  "transverse": the
     multiplicity and, as parts, the vertex wedges (_wedge) in vertex order.
-    "resolved": parts are (index, ((vertex curve, automorphism count), ...))
-    per resolution.  weight is the q weight, once evaluated.
+    "resolved": parts are (index, vertex curves) per resolution; the vertex
+    curves are genus-0 labeled trees, so none has a nontrivial automorphism.
+    weight is the q weight, once evaluated.
     """
 
     kind: str
@@ -406,9 +402,9 @@ def clear_caches():
 
 
 def _derivation(t: CurveType, seed: int) -> _Derivation:
-    """The memoized derivation of t for the seeded shift.  Each resolution
-    must have fewer internal edges per non-transverse replacement than t
-    (DepthExceeded otherwise), which bounds the depth by t.n_internal."""
+    """The memoized derivation of t for the seeded shift.  The replacement
+    curves of a resolution have genus 0, so they are transverse and the
+    recursion stops one level down."""
     key = (t.canonical_key(), seed)
     rec = _DERIVATIONS.get(key)
     if rec is not None:
@@ -423,15 +419,9 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
             _wedge(vertex_star(t, v).star) for v in t.vertices),
             loop_multiplicity(t))
     else:
-        parts = []
-        for r in resolve_with_shifts(t, sample_shifts(t, seed)):
-            if any(not is_transverse(p) and p.n_internal >= t.n_internal
-                   for p in r.vertex_types):
-                raise DepthExceeded(
-                    "resolution did not reduce the internal edge count")
-            parts.append((r.index, tuple((p, automorphism_count(p))
-                                         for p in r.vertex_types)))
-        rec = _Derivation("resolved", tuple(parts))
+        rec = _Derivation("resolved", tuple(
+            (r.index, r.vertex_types)
+            for r in resolve_with_shifts(t, sample_shifts(t, seed))))
     _DERIVATIONS[key] = rec
     return rec
 
@@ -439,8 +429,7 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     """Weight of a general curve type: multiplicity times the vertex weights
     if transverse, else the sum over shift resolutions of index times the
-    replacement weights over their automorphisms, evaluated recursively on
-    the q side.  The series weight is known through x^order, or through
+    replacement weights, evaluated recursively on the q side.  The series weight is known through x^order, or through
     x^(order + vertices - 1) if transverse."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -457,9 +446,8 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
             w = QHalfLaurent.zero()
             for index, parts in rec.parts:
                 prod = QHalfLaurent.one().scale(index)
-                for part, aut in parts:
-                    prod = prod * curve_weight(part, order, mode, seed).scale(
-                        Fraction(1, aut))
+                for part in parts:
+                    prod = prod * curve_weight(part, order, mode, seed)
                 w = w + prod
         else:
             w = QHalfLaurent.one().scale(rec.multiplicity)
@@ -488,8 +476,7 @@ def weight_trace(t: CurveType, seed: int = 0) -> dict:
     else:
         node["resolutions"] = [{
             "index": index,
-            "vertex_automorphisms": [aut for _, aut in parts],
-            "vertex_curves": [weight_trace(p, seed) for p, _ in parts],
+            "vertex_curves": [weight_trace(p, seed) for p in parts],
         } for index, parts in rec.parts]
     return node
 

@@ -43,10 +43,8 @@ def weight(t: CurveType, order: int, seed: int = 0, _memo=None) -> LaurentSeries
         w = one.scale(0)
         for index, parts in rec.parts:
             prod = one.scale(index)
-            for part, aut in parts:
+            for part in parts:
                 prod = prod * weight(part, order, seed, memo)
-                if aut != 1:
-                    prod = prod.scale(Fraction(1, aut))
             w = w + prod
     memo[id(rec)] = w
     return w

@@ -9,12 +9,18 @@ One sha256 covers the sort_keys JSON of
 A change that moves any exact value, index, automorphism count or trace
 entry changes the digest.  A deliberate change of an output must update
 PINNED together with a note of what moved and why.
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py OUT.json
+
+writes the pinned document itself (sorted keys, indented), so the documents
+of two checkouts can be diffed to see what moved.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 from importlib import resources
 
 from tropgw import cli, weights
@@ -25,7 +31,11 @@ DATA = resources.files("tropgw") / "data"
 ORDER = 20
 SEEDS = (0, 15)
 
-PINNED = "7d4e1b81463f6b1bac4c952b8b8c7f69bf447952fc604bfaa45f1908c068e273"
+# Last moved when the resolution records dropped their automorphism counts:
+# the only difference is the removed "vertex_automorphisms" key of every
+# resolution in the Gamma_mu traces and in the four fgamma gamma_mu_21 /
+# gamma_mu_1111 outputs; every removed value was 1 and every value stayed.
+PINNED = "63a5e0b97d38d55438fe01b3d6b700c25718d3cc9830ea3214a9fbdf64f6dc50"
 
 CLI_INPUTS = [
     ["absolute", "cp3.json", "--degrees", "1", "--points", "2"],
@@ -78,11 +88,22 @@ def _cli_document() -> dict:
     return doc
 
 
+def pinned_document() -> dict:
+    return {"weights": _weights_document(), "cli": _cli_document()}
+
+
 def pinned_digest() -> str:
-    doc = {"weights": _weights_document(), "cli": _cli_document()}
     return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        json.dumps(pinned_document(), sort_keys=True).encode()).hexdigest()
 
 
 def test_weights_traces_and_cli_outputs_are_pinned():
     assert pinned_digest() == PINNED
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: test_pinned_outputs.py OUT.json")
+    with open(sys.argv[1], "w") as f:
+        json.dump(pinned_document(), f, sort_keys=True, indent=1)
+        f.write("\n")

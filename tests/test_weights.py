@@ -14,7 +14,8 @@ from tropgw.exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
                              quantum_integer_q, two_sin_half)
 from tropgw.identities import gamma_mu
 from tropgw.lattice import InvariantError
-from tropgw.tropcurve import CurveType, genus
+from tropgw.tropcurve import (CurveType, automorphism_count, genus,
+                              is_transverse)
 from tropgw.weights import (
     UnsupportedVertex,
     curve_weight,
@@ -122,6 +123,19 @@ class TestResolutions:
                 prod *= m
             assert res[0].index == prod // lcm(mu)
 
+    @pytest.mark.parametrize("seed", [0, 15])
+    def test_replacements_are_rigid_trees(self, seed):
+        # the weights weigh each replacement curve without an automorphism
+        # factor: every one is a transverse tree whose only automorphism
+        # fixing its labeled ends is the identity
+        for n in range(1, 5):
+            for mu in _partitions(n):
+                t = gamma_mu(n, mu)
+                for r in resolve_with_shifts(t, weights.sample_shifts(t, seed)):
+                    for p in r.vertex_types:
+                        assert genus(p) == 0 and is_transverse(p), (mu, p)
+                        assert automorphism_count(p) == 1, (mu, p)
+
     def test_paper_shift_for_doubled_edge(self):
         t = CurveType.make(
             [0, 1], [(0, 1, (1, 0, 2)), (0, 1, (1, 0, 2))],
@@ -200,7 +214,7 @@ class TestResolutions:
             monkeypatch.setattr(weights, name, wrapper)
 
         names = ("is_general", "is_transverse", "loop_multiplicity",
-                 "resolve_with_shifts", "automorphism_count")
+                 "resolve_with_shifts")
         for name in names:
             counted(name)
         weights.clear_caches()
