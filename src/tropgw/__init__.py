@@ -1,7 +1,7 @@
 """Exact tropical curve counts in R^3 and the generating functions they feed."""
 
-from .exactnum import (GaussRational, LaurentSeries, QHalfLaurent,
-                       q_to_lambda, quantum_integer_q, two_sin_half)
+from .exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
+                       quantum_integer_q, two_sin_half)
 from .lattice import (INFINITE, integral_kernel, lattice_index, primitive_part,
                       quotient_projection, wedge_index)
 from .tropcurve import (CurveType, automorphism_count, genus, is_general,

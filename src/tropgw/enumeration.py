@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .lattice import (
@@ -24,7 +25,6 @@ from .lattice import (
     rational_rank,
     saturation,
     solve_integral,
-    solve_rational,
     wedge_index,
 )
 from .tropcurve import (
@@ -597,10 +597,14 @@ def place_curves(t: CurveType, cycle: ConstraintCycle) -> list[Placement]:
         span_rows = [[v[i] for v in stratum.span] for i in range(len(ev))]
         rows = [r + [0] * len(stratum.span) for r in loops]
         rows += [r + [-x for x in sr] for r, sr in zip(ev, span_rows)]
-        sol = solve_rational(rows, [0] * len(loops) + list(stratum.base))
-        if sol is None or sol[1]:
+        # the base times the lcm of its denominators is an integer column
+        scale = lcm(*(b.denominator for b in stratum.base))
+        rhs = [b.numerator * (scale // b.denominator) for b in stratum.base]
+        sol = solve_integral(rows, [[0] * len(loops) + rhs])
+        if sol is None or sol[2]:
             continue
-        part = sol[0][:ncols]
+        den, (x,), _ = sol
+        part = [Fraction(v, den * scale) for v in x[:ncols]]
         lengths = {i: part[n_roots + i] for i in range(t.n_internal)}
         if any(l < 0 for l in lengths.values()):
             continue

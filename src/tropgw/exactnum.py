@@ -2,12 +2,12 @@
 
 Everything downstream works over the rationals: truncated Laurent series in
 one formal variable with rational coefficients, and Laurent polynomials in a
-formal half-integer power q^(1/2) with Gaussian rational coefficients.  The
-imaginary unit lives only on the q side; the substitution
-q^(1/2) = i*exp(i*x/2) reports its imaginary residue separately and returns a
-rational series.  No floats anywhere; truncation orders are tracked through
-every operation so a result never claims more precision than its inputs
-supported.
+formal half-integer power q^(1/2) with Gaussian rational coefficients, each
+held as its real and imaginary Fraction parts.  The imaginary unit lives only
+on the q side; the substitution q^(1/2) = i*exp(i*x/2) reports its imaginary
+residue separately and returns a rational series.  No floats anywhere;
+truncation orders are tracked through every operation so a result never
+claims more precision than its inputs supported.
 
 The coefficient loops (sums, products, inverses, the sine closed form and
 the substitution) run on Python integers: the inputs are written as integer
@@ -17,12 +17,9 @@ output coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Iterable, Union
-
-ScalarLike = Union[int, Fraction, "GaussRational"]
+from typing import Iterable
 
 
 def _frac(x) -> Fraction:
@@ -40,78 +37,10 @@ def _numerators(cs) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-@dataclass(frozen=True)
-class GaussRational:
-    """A Gaussian rational re + im*i with exact rational parts."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(x: ScalarLike) -> "GaussRational":
-        if isinstance(x, GaussRational):
-            return x
-        return GaussRational(_frac(x), Fraction(0))
-
-    @staticmethod
-    def i_power(m: int) -> "GaussRational":
-        """i**m for any integer m (negative allowed)."""
-        return _I_POWERS[m % 4]
-
-    def __add__(self, other: ScalarLike) -> "GaussRational":
-        o = GaussRational.of(other)
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def __sub__(self, other: ScalarLike) -> "GaussRational":
-        return self + (-GaussRational.of(other))
-
-    def __rsub__(self, other: ScalarLike) -> "GaussRational":
-        return GaussRational.of(other) + (-self)
-
-    def __mul__(self, other: ScalarLike) -> "GaussRational":
-        # most factors are real or purely imaginary (quantum-integer
-        # coefficients are powers of i, scalars are real): skip zero products
-        o = GaussRational.of(other)
-        re = im = _ZERO
-        if self.re:
-            if o.re:
-                re = self.re * o.re
-            if o.im:
-                im = self.re * o.im
-        if self.im:
-            if o.im:
-                re -= self.im * o.im
-            if o.re:
-                im += self.im * o.re
-        return GaussRational(re, im)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"({self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i)"
-
-
-GR_ZERO = GaussRational(Fraction(0), Fraction(0))
-GR_ONE = GaussRational(Fraction(1), Fraction(0))
-GR_I = GaussRational(Fraction(0), Fraction(1))
-_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# i^m as (real, imaginary) parts, indexed by m mod 4
+_I_POWERS = ((_ONE, _ZERO), (_ZERO, _ONE), (-_ONE, _ZERO), (_ZERO, -_ONE))
 
 
 class LaurentSeries:
@@ -308,32 +237,29 @@ class LaurentSeries:
         return LaurentSeries(d["lowest_exponent"], cs, d["truncation_order"])
 
 
-def _coeff_from_json(c) -> GaussRational:
-    if len(c) == 2 and isinstance(c[0], list):
-        return GaussRational(Fraction(c[0][0], c[0][1]), Fraction(c[1][0], c[1][1]))
-    return GaussRational(Fraction(c[0], c[1]), Fraction(0))
-
-
 class QHalfLaurent:
     """Sparse Laurent polynomial in q^(1/2); exponents stored in half units.
 
-    A term (h, c) means c * q^(h/2).  At most one term per half exponent and
-    coefficients are never zero.
+    A term (h, re, im) means (re + im*i) * q^(h/2) with Fractions re and im.
+    At most one term per half exponent, and never one with both parts zero.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple[int, ScalarLike]]):
-        acc: dict[int, GaussRational] = {}
-        for h, c in terms:
-            c = GaussRational.of(c)
+    def __init__(self, terms: Iterable[tuple[int, int | Fraction, int | Fraction]]):
+        acc: dict[int, list] = {}
+        for h, re, im in terms:
             if h in acc:
-                c = acc[h] + c
-            acc[h] = c
-        object.__setattr__(
-            self, "terms",
-            tuple(sorted((h, c) for h, c in acc.items() if not c.is_zero()))
-        )
+                c = acc[h]
+                if re:
+                    c[0] += re
+                if im:
+                    c[1] += im
+            else:
+                acc[h] = [re, im]
+        object.__setattr__(self, "terms", tuple(
+            (h, _frac(re), _frac(im))
+            for h, (re, im) in sorted(acc.items()) if re or im))
 
     def __setattr__(self, *a):
         raise AttributeError("QHalfLaurent is immutable")
@@ -344,42 +270,57 @@ class QHalfLaurent:
 
     @staticmethod
     def one() -> "QHalfLaurent":
-        return QHalfLaurent(((0, GR_ONE),))
+        return QHalfLaurent(((0, _ONE, _ZERO),))
 
     @staticmethod
-    def monomial(coeff: ScalarLike, half_exponent: int) -> "QHalfLaurent":
-        return QHalfLaurent(((half_exponent, coeff),))
+    def monomial(coeff: int | Fraction, half_exponent: int) -> "QHalfLaurent":
+        return QHalfLaurent(((half_exponent, _frac(coeff), _ZERO),))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, half_exponent: int) -> GaussRational:
-        for h, c in self.terms:
+    def coeff(self, half_exponent: int) -> tuple[Fraction, Fraction]:
+        """The (real, imaginary) parts of the given half exponent's
+        coefficient."""
+        for h, re, im in self.terms:
             if h == half_exponent:
-                return c
-        return GR_ZERO
+                return re, im
+        return _ZERO, _ZERO
 
     def __add__(self, other: "QHalfLaurent") -> "QHalfLaurent":
         return QHalfLaurent(self.terms + other.terms)
 
     def __neg__(self) -> "QHalfLaurent":
-        return QHalfLaurent(tuple((h, -c) for h, c in self.terms))
+        return QHalfLaurent(tuple((h, -re, -im) for h, re, im in self.terms))
 
     def __sub__(self, other: "QHalfLaurent") -> "QHalfLaurent":
         return self + (-other)
 
     def __mul__(self, other: "QHalfLaurent") -> "QHalfLaurent":
+        # most factors are real or purely imaginary (quantum-integer
+        # coefficients are powers of i, scalars are real): skip zero products
         out = []
-        for h1, c1 in self.terms:
-            for h2, c2 in other.terms:
-                out.append((h1 + h2, c1 * c2))
+        for h1, a, b in self.terms:
+            for h2, c, d in other.terms:
+                re = im = _ZERO
+                if a:
+                    if c:
+                        re = a * c
+                    if d:
+                        im = a * d
+                if b:
+                    if d:
+                        re -= b * d
+                    if c:
+                        im += b * c
+                out.append((h1 + h2, re, im))
         return QHalfLaurent(out)
 
-    def scale(self, c: ScalarLike) -> "QHalfLaurent":
-        c = GaussRational.of(c)
-        if c.is_zero():
+    def scale(self, c: int | Fraction) -> "QHalfLaurent":
+        c = _frac(c)
+        if not c:
             return QHalfLaurent.zero()
-        return QHalfLaurent(tuple((h, c * a) for h, a in self.terms))
+        return QHalfLaurent(tuple((h, c * re, c * im) for h, re, im in self.terms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QHalfLaurent):
@@ -393,9 +334,15 @@ class QHalfLaurent:
         if not self.terms:
             return "0"
         bits = []
-        for h, c in self.terms:
+        for h, re, im in self.terms:
+            if not im:
+                c = f"{re}"
+            elif not re:
+                c = f"{im}*i"
+            else:
+                c = f"({re}{'+' if im > 0 else '-'}{abs(im)}*i)"
             if h == 0:
-                bits.append(f"{c}")
+                bits.append(c)
             elif h % 2 == 0:
                 bits.append(f"{c}*q^{h // 2}")
             else:
@@ -403,18 +350,24 @@ class QHalfLaurent:
         return " + ".join(bits)
 
     def to_json(self) -> list:
+        """[h, [num, den]] per real term, [h, [[num, den], [num, den]]]
+        (real part, imaginary part) per other term."""
         out = []
-        for h, c in self.terms:
-            if c.is_real():
-                out.append([h, [c.re.numerator, c.re.denominator]])
+        for h, re, im in self.terms:
+            if not im:
+                out.append([h, [re.numerator, re.denominator]])
             else:
-                out.append([h, [[c.re.numerator, c.re.denominator],
-                                [c.im.numerator, c.im.denominator]]])
+                out.append([h, [[re.numerator, re.denominator],
+                                [im.numerator, im.denominator]]])
         return out
 
     @staticmethod
     def from_json(data: list) -> "QHalfLaurent":
-        return QHalfLaurent((h, _coeff_from_json(c)) for h, c in data)
+        terms = []
+        for h, c in data:
+            re, im = c if len(c) == 2 and isinstance(c[0], list) else (c, (0, 1))
+            terms.append((h, Fraction(re[0], re[1]), Fraction(im[0], im[1])))
+        return QHalfLaurent(terms)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -434,10 +387,8 @@ def quantum_integer_q(n: int) -> QHalfLaurent:
     """i^-(n+1) q^(n/2) + i^(n+1) q^(-n/2), the q-side of the vertex bracket."""
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    return QHalfLaurent((
-        (n, GaussRational.i_power(-(n + 1))),
-        (-n, GaussRational.i_power(n + 1)),
-    ))
+    return QHalfLaurent(((n, *_I_POWERS[-(n + 1) % 4]),
+                         (-n, *_I_POWERS[(n + 1) % 4])))
 
 
 def q_to_lambda(p: QHalfLaurent, order: int) -> tuple[LaurentSeries, bool]:
@@ -453,10 +404,10 @@ def q_to_lambda(p: QHalfLaurent, order: int) -> tuple[LaurentSeries, bool]:
     # c * q^(h/2) = c * i^h * exp(i*h*x/2), whose x^j coefficient is
     # c * i^(h+j) * h^j / (2^j j!).  With c = (a + b*i)/den over one
     # denominator, multiplying by i^(h+j) only rotates the integers (a, b).
-    nums, den = _numerators([x for _, c in p.terms for x in (c.re, c.im)])
+    nums, den = _numerators([x for _, re, im in p.terms for x in (re, im)])
     re = [0] * (order + 1)
     im = [0] * (order + 1)
-    for (h, _), a, b in zip(p.terms, nums[::2], nums[1::2]):
+    for (h, _, _), a, b in zip(p.terms, nums[::2], nums[1::2]):
         turns = ((a, b), (-b, a), (-a, -b), (b, -a))
         hj = 1
         for j in range(order + 1):

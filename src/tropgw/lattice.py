@@ -9,15 +9,16 @@ rank-2 quotient projections.  Besides these: primitive vectors and wedge
 indices.  Matrices are tiny (tens of rows at most), so everything is plain
 arbitrary-precision arithmetic with no sparsity tricks.
 
-A matrix is the sequence of its integer rows.  A column count is passed only
-where a matrix may have no rows (integral_kernel, saturation); everywhere
-else it is the length of the first row.
+A matrix is the sequence of its integer rows; the elimination refuses any
+other entry with TypeError, so a caller with rational data clears its
+denominators first.  A column count is passed only where a matrix may have
+no rows (integral_kernel, saturation); everywhere else it is the length of
+the first row.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from typing import Sequence
 
 
@@ -147,15 +148,6 @@ def saturation(vectors: Sequence[IntVec], dim: int) -> list[IntVec]:
 # -- fraction-free elimination -----------------------------------------------
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the least common multiple of its denominators; scaling an
-    equation leaves its solution set unchanged."""
-    den = 1
-    for x in row:
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int]]:
     """Fraction-free Gauss-Jordan elimination on the first n columns, in place.
 
@@ -194,8 +186,19 @@ def _eliminate(a: list[list[int]], n: int) -> tuple[int, list[int]]:
     return abs(prev), pivots
 
 
-def solve_integral(rows: Sequence[Sequence[Fraction | int]],
-                   rhs_cols: Sequence[Sequence[Fraction | int]]):
+def _augmented(rows: Sequence[Sequence[int]],
+               rhs_cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The rows extended by the right-hand side columns, as fresh lists.  An
+    entry that is not an integer raises TypeError: the exact divisions of
+    the elimination would floor a Fraction without notice."""
+    a = [[*r, *(b[i] for b in rhs_cols)] for i, r in enumerate(rows)]
+    if not all(isinstance(x, int) for r in a for x in r):
+        raise TypeError("the elimination needs integer entries")
+    return a
+
+
+def solve_integral(rows: Sequence[Sequence[int]],
+                   rhs_cols: Sequence[Sequence[int]]):
     """Solve rows * x = b for every column b of rhs_cols, in integers.
 
     Returns (den, sols, null) with den > 0, or None when some system is
@@ -205,8 +208,7 @@ def solve_integral(rows: Sequence[Sequence[Fraction | int]],
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [_integer_row(list(r) + [b[i] for b in rhs_cols])
-         for i, r in enumerate(rows)]
+    a = _augmented(rows, rhs_cols)
     den, pivots = _eliminate(a, n)
     if any(any(row[n:]) for row in a[len(pivots):]):
         return None
@@ -226,21 +228,7 @@ def solve_integral(rows: Sequence[Sequence[Fraction | int]],
     return den, sols, null
 
 
-def solve_rational(rows: Sequence[Sequence[Fraction | int]],
-                   rhs: Sequence[Fraction | int]):
-    """Solve rows * x = rhs over the rationals.
-
-    Returns (particular, basis) where basis spans the solution space of the
-    homogeneous system, or None when inconsistent.
-    """
-    sol = solve_integral(rows, [rhs])
-    if sol is None:
-        return None
-    den, (part,), null = sol
-    return (tuple(Fraction(x, den) for x in part),
-            [tuple(Fraction(x, den) for x in v) for v in null])
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    a = [_integer_row(r) for r in rows]
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of the integer matrix with these rows."""
+    a = _augmented(rows, ())
     return len(_eliminate(a, len(a[0]) if a else 0)[1])

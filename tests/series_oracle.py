@@ -90,12 +90,12 @@ def q_to_lambda(p: QHalfLaurent, order: int) -> tuple[LaurentSeries, bool]:
     """Substitute q^(1/2) = i*exp(i*x/2), one Fraction term at a time."""
     re = [Fraction(0)] * (order + 1)
     im = [Fraction(0)] * (order + 1)
-    for h, c in p.terms:
+    for h, cre, cim in p.terms:
         # x^j coefficient of c * i^h * exp(i*h*x/2): c * i^(h+j) * (h/2)^j / j!
         t = Fraction(1)
         for j in range(order + 1):
             pr, pi = _I_POWERS[(h + j) % 4]
-            re[j] += (c.re * pr - c.im * pi) * t
-            im[j] += (c.re * pi + c.im * pr) * t
+            re[j] += (cre * pr - cim * pi) * t
+            im[j] += (cre * pi + cim * pr) * t
             t = t * Fraction(h, 2) / (j + 1)
     return LaurentSeries(0, re, order), not any(im)

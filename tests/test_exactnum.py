@@ -6,7 +6,6 @@ from hypothesis import example, given, strategies as st
 import series_oracle
 
 from tropgw.exactnum import (
-    GaussRational,
     LaurentSeries,
     QHalfLaurent,
     q_to_lambda,
@@ -102,7 +101,7 @@ class TestSeriesArithmetic:
 
     def test_gaussian_scale_is_refused(self):
         with pytest.raises(TypeError):
-            two_sin_half(2, 7).scale(GaussRational(F(1, 3), F(2)))
+            two_sin_half(2, 7).scale((F(1, 3), F(2)))
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -137,25 +136,43 @@ class TestRingAxioms:
 class TestQHalf:
     def test_quantum_integer_small_cases(self):
         q1 = quantum_integer_q(1)
-        assert q1.coeff(1) == GaussRational.of(F(-1))
-        assert q1.coeff(-1) == GaussRational.of(F(-1))
+        assert q1.coeff(1) == (F(-1), F(0))
+        assert q1.coeff(-1) == (F(-1), F(0))
         q2 = quantum_integer_q(2)
-        assert q2.coeff(2) == GaussRational(F(0), F(1))
-        assert q2.coeff(-2) == GaussRational(F(0), F(-1))
+        assert q2.coeff(2) == (F(0), F(1))
+        assert q2.coeff(-2) == (F(0), F(-1))
+        assert q2.coeff(0) == (F(0), F(0))
 
     def test_at_most_one_term_per_exponent(self):
-        p = QHalfLaurent(((1, 1), (1, 2), (0, 3), (2, 0)))
-        assert p.terms == ((0, GaussRational.of(F(3))), (1, GaussRational.of(F(3))))
+        p = QHalfLaurent(((1, 1, 0), (1, 2, 0), (0, 3, 0), (2, 0, 0),
+                          (3, 0, 1), (3, 0, -1), (-1, 1, 1), (-1, -1, 0)))
+        assert p.terms == ((-1, F(0), F(1)), (0, F(3), F(0)), (1, F(3), F(0)))
+        assert all(type(x) is Fraction for t in p.terms for x in t[1:])
 
     def test_json_round_trip(self):
         p = quantum_integer_q(3).scale(F(1, 3)) + QHalfLaurent.monomial(F(2, 7), 4)
         assert QHalfLaurent.from_json(p.to_json()) == p
 
+    def test_text_of_gaussian_terms(self):
+        # a real term is one [num, den] pair, any other its two parts
+        p = QHalfLaurent(((1, F(1, 2), F(-1, 3)), (0, 2, 0), (-2, 0, F(5, 4))))
+        assert p.to_json() == [[-2, [[0, 1], [5, 4]]], [0, [2, 1]],
+                               [1, [[1, 2], [-1, 3]]]]
+        assert repr(p) == "5/4*i*q^-1 + 2 + (1/2-1/3*i)*q^(1/2)"
+        assert QHalfLaurent.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("bad", [(F(1), F(2)), 1j, 0.5, "1"])
+    def test_only_rationals_scale(self, bad):
+        with pytest.raises(TypeError):
+            quantum_integer_q(2).scale(bad)
+        with pytest.raises(TypeError):
+            QHalfLaurent.monomial(bad, 1)
+
 
 class TestSubstitution:
     def test_symmetric_pair_gives_negative_sine(self):
         # i e^{ix/2} + (i e^{ix/2})^{-1} = -2 sin(x/2), oracle-verified
-        p = QHalfLaurent(((1, 1), (-1, 1)))
+        p = QHalfLaurent(((1, 1, 0), (-1, 1, 0)))
         ser, real = q_to_lambda(p, 3)
         assert real
         assert ser.agrees(two_sin_half(1, 3).scale(-1))
@@ -166,7 +183,7 @@ class TestSubstitution:
         assert ser.agrees(LaurentSeries.one(4))
 
     def test_negated_pair_is_the_basic_bracket(self):
-        p = QHalfLaurent(((1, -1), (-1, -1)))
+        p = QHalfLaurent(((1, -1, 0), (-1, -1, 0)))
         ser, real = q_to_lambda(p, 12)
         assert real
         assert ser.agrees(two_sin_half(1, 12))
@@ -182,19 +199,33 @@ class TestSubstitution:
         assert not real
 
 
-small_gauss = st.builds(GaussRational, small_fracs, small_fracs)
+small_gauss = st.tuples(small_fracs, small_fracs)
 
 fracs_or_zero = st.one_of(st.just(F(0)), small_fracs)
-gauss_with_zeros = st.builds(GaussRational, fracs_or_zero, fracs_or_zero)
+gauss_terms = st.lists(
+    st.tuples(st.integers(min_value=-4, max_value=4), fracs_or_zero, fracs_or_zero),
+    max_size=4)
+
+
+def _qhalf(terms: dict) -> QHalfLaurent:
+    """The q-polynomial of a dict from half exponents to (re, im) pairs."""
+    return QHalfLaurent((h, re, im) for h, (re, im) in terms.items())
 
 
 class TestGaussProduct:
-    @given(gauss_with_zeros, gauss_with_zeros)
-    def test_matches_four_products(self, a, b):
-        # the product skips zero factors; the plain formula does not
-        want = GaussRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
-        assert a * b == want
-        assert a * b.re == GaussRational(a.re * b.re, a.im * b.re)
+    @given(gauss_terms, gauss_terms, small_fracs)
+    def test_matches_four_products(self, a, b, r):
+        # the product skips zero parts; the plain formula does not
+        want = {}
+        for ha, ar, ai in a:
+            for hb, br, bi in b:
+                re, im = want.get(ha + hb, (F(0), F(0)))
+                want[ha + hb] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+        p, q = QHalfLaurent(a), QHalfLaurent(b)
+        assert (p * q).terms == tuple(
+            (h, re, im) for h, (re, im) in sorted(want.items()) if re or im)
+        assert p * q == q * p
+        assert p.scale(r) == p * QHalfLaurent.monomial(r, 0)
 
 
 class TestSubstitutionOracle:
@@ -206,13 +237,13 @@ class TestSubstitutionOracle:
         # real and imaginary parts coefficient by coefficient
         sympy = pytest.importorskip("sympy")
         x = sympy.symbols("x")
-        expr = sum((sympy.Rational(c.re.numerator, c.re.denominator)
-                    + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+        expr = sum((sympy.Rational(re.numerator, re.denominator)
+                    + sympy.I * sympy.Rational(im.numerator, im.denominator))
                    * (sympy.I * sympy.exp(sympy.I * x / 2)) ** h
-                   for h, c in terms.items())
+                   for h, (re, im) in terms.items())
         poly = sympy.Poly(sympy.expand(
             sympy.series(sympy.sympify(expr), x, 0, order + 1).removeO()), x)
-        ser, real = q_to_lambda(QHalfLaurent(terms.items()), order)
+        ser, real = q_to_lambda(_qhalf(terms), order)
         residue = False
         for e in range(order + 1):
             re, im = poly.coeff_monomial(x ** e).as_real_imag()
@@ -278,11 +309,11 @@ class TestKernelsAgainstOracle:
         _same(two_sin_half(n, order), series_oracle.two_sin_half(n, order))
 
     @given(st.dictionaries(st.integers(min_value=-40, max_value=40),
-                           st.builds(GaussRational, wide_fracs, wide_fracs),
+                           st.tuples(wide_fracs, wide_fracs),
                            max_size=6),
            st.integers(min_value=0, max_value=20))
     def test_q_to_lambda(self, terms, order):
-        p = QHalfLaurent(terms.items())
+        p = _qhalf(terms)
         got, got_real = q_to_lambda(p, order)
         want, want_real = series_oracle.q_to_lambda(p, order)
         _same(got, want)

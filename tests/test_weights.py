@@ -62,7 +62,7 @@ class TestVertexWeights:
 
     def test_q_primitive_pair(self):
         p = vertex_qpoly(single_vertex((1, 0, 0), (0, 1, 0), (-1, -1, 0)))
-        assert p == QHalfLaurent(((1, -1), (-1, -1)))
+        assert p == QHalfLaurent(((1, -1, 0), (-1, -1, 0)))
 
     def test_q_marker(self):
         p = vertex_qpoly(single_vertex((1, 0, 0), (0, 0, 0), (-1, 0, 0)))
