@@ -72,12 +72,10 @@ def _ends(d: dict):
 
 
 def _bounds_from_args(args, base: SearchBounds = SearchBounds()) -> SearchBounds:
-    """base with every bound given on the command line replacing its own;
-    the seed always follows --seed."""
+    """base with every bound given on the command line replacing its own."""
     given = (args.max_internal_edges, args.max_genus, args.max_deriv)
     kept = (base.max_internal_edges, base.max_genus, base.max_derivative_norm)
-    return SearchBounds(*(k if g is None else g for g, k in zip(given, kept)),
-                        args.seed)
+    return SearchBounds(*(k if g is None else g for g, k in zip(given, kept)))
 
 
 def _default_seed() -> int:

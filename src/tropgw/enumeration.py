@@ -51,7 +51,6 @@ class SearchBounds:
     max_internal_edges: int = 8
     max_genus: int = 5
     max_derivative_norm: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.max_internal_edges, self.max_genus, self.max_derivative_norm) < 0:
@@ -60,8 +59,7 @@ class SearchBounds:
     def to_json(self) -> dict:
         return {"max_internal_edges": self.max_internal_edges,
                 "max_genus": self.max_genus,
-                "max_derivative_norm": self.max_derivative_norm,
-                "seed": self.seed}
+                "max_derivative_norm": self.max_derivative_norm}
 
     @staticmethod
     def from_json(d: dict) -> "SearchBounds":

@@ -223,8 +223,7 @@ def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountR
     res = weighted_count(req, order, seed)
     wider = SearchBounds(req.bounds.max_internal_edges + 1,
                          req.bounds.max_genus + 1,
-                         req.bounds.max_derivative_norm + 1,
-                         req.bounds.seed)
+                         req.bounds.max_derivative_norm + 1)
     res2 = weighted_count(CountRequest(req.ends, req.cycle, req.connected,
                                        req.mode, wider), order, seed)
     same = (res.value.agrees(res2.value) if hasattr(res.value, "agrees")

@@ -330,6 +330,6 @@ class TestRobustness:
         monkeypatch.setattr(invariants, "weighted_count", fake_count)
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
         req = CountRequest(tuple(ends), cycle_from_constraints(ends, {}),
-                           True, "lambda", SearchBounds(4, 2, 1, 7))
+                           True, "lambda", SearchBounds(4, 2, 1))
         assert certified_count(req, K, 0).certified is True
-        assert seen == [SearchBounds(4, 2, 1, 7), SearchBounds(5, 3, 2, 7)]
+        assert seen == [SearchBounds(4, 2, 1), SearchBounds(5, 3, 2)]

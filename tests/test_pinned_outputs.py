@@ -31,11 +31,10 @@ DATA = resources.files("tropgw") / "data"
 ORDER = 20
 SEEDS = (0, 15)
 
-# Last moved when the resolution records dropped their automorphism counts:
-# the only difference is the removed "vertex_automorphisms" key of every
-# resolution in the Gamma_mu traces and in the four fgamma gamma_mu_21 /
-# gamma_mu_1111 outputs; every removed value was 1 and every value stayed.
-PINNED = "63a5e0b97d38d55438fe01b3d6b700c25718d3cc9830ea3214a9fbdf64f6dc50"
+# Last moved when SearchBounds dropped its seed field: the only difference
+# is the removed "seed" key of the "bounds" object in each of the 34 command
+# outputs, which always repeated the top-level "seed"; every value stayed.
+PINNED = "10344fa0d61a8a5a34767ab8617cfe88ec3a219adc7675243c84db15bb396de5"
 
 CLI_INPUTS = [
     ["absolute", "cp3.json", "--degrees", "1", "--points", "2"],
