@@ -167,8 +167,8 @@ class CurveType:
     def component_types(self) -> list["CurveType"]:
         """Split a disconnected type into its connected pieces.
 
-        Labels are kept as in the whole curve, compressed to 1..m per piece;
-        the original labels are recoverable from label_map on each piece.
+        Each piece keeps its vertices and edges; its end labels are
+        renumbered 1..m in the order of their labels in the whole curve.
         """
         comps = self.components()
         if len(comps) <= 1:

@@ -429,8 +429,9 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     """Weight of a general curve type: multiplicity times the vertex weights
     if transverse, else the sum over shift resolutions of index times the
-    replacement weights, evaluated recursively on the q side.  The series weight is known through x^order, or through
-    x^(order + vertices - 1) if transverse."""
+    replacement weights, evaluated recursively on the q side.  The series
+    weight is known through x^order, or through x^(order + vertices - 1) if
+    transverse."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
     rec = _derivation(t, seed)
