@@ -256,9 +256,6 @@ class TestMalformedInput:
         ("connectedness", "conected", "unknown connectedness"),
         ("bounds", {"max_genus": 5, "max_edges": 8}, "bounds must map"),
         ("bounds", {"max_genus": "5"}, "bounds must map"),
-        # the seed is a command-line option, never a search bound
-        ("bounds", {"max_genus": 5, "seed": 0}, "bounds must map some of "
-         "max_internal_edges, max_genus, max_derivative_norm to integers"),
         ("base", 3, "base entries"),
         ("base", [3, 0], "base entries"),
         ("multiplicity", [1, 0], "multiplicity entries"),
@@ -269,6 +266,9 @@ class TestMalformedInput:
         ("cycle", 4, "cycle must be"),
         ("strata", 3, "strata must be"),
         ("base list", 7, "base entries"),
+        # the seed is a command-line option, never a search bound
+        ("bounds", {"max_genus": 5, "seed": 0}, "bounds must map some of "
+         "max_internal_edges, max_genus, max_derivative_norm to integers"),
     ])
     def test_malformed_count_request_is_exit_2(self, tmp_path, capsys,
                                                 field, value, message):
