@@ -7,14 +7,14 @@ over the combinatorial types of resolutions: per vertex a general replacement
 curve with matching outgoing derivatives, glued by signed connector lengths.
 A sign test that ties at s is decided at s + eps e_1 + eps^2 e_2 + ... over
 the raw shift coordinates, so every shift acts as a generic one.  Each
-solvable resolution contributes its own lattice index times the product of
-its vertex-curve weights; the total is independent of the shift, which the
-test suite checks across seeds.
+solvable resolution contributes the lattice index of its glued rows, built
+once per wiring, times the product of its vertex-curve weights; the total is
+independent of the shift, which the test suite checks across seeds.
 
 Each (type, seed) has one memoized derivation record holding that data,
-which weight_trace prints, and the exact q weight evaluated from it.  The
-series weight is that q weight at q^(1/2) = i e^(i x/2), times x per
-zero-derivative end.
+which weight_trace prints, and the exact q weight, evaluated as the record
+is built.  The series weight is that q weight at q^(1/2) = i e^(i x/2),
+times x per zero-derivative end.
 """
 
 from __future__ import annotations
@@ -174,26 +174,22 @@ def _group_by_relabeling(cands: list[CurveType]):
     label of the same end (relabeling is the identity on derivatives); reps
     are shared across the group.
 
-    Candidates are grouped by their label-free canonical key.  Composing the
-    two canonical vertex orders maps rep onto the candidate; the label
-    permutation is read off per (vertex, derivative) group, in label order.
+    Candidates are grouped by their label-free canonical key.  Each lists
+    its end labels by (position of the end's vertex in its canonical vertex
+    order, derivative, label); the ends at one position of the candidate's
+    list and of its rep's are the same end.
     """
     out = []
     reps: dict = {}
     for c in cands:
         key, order, _ = _canonical_form(c, labeled=False)
-        if key not in reps:
-            reps[key] = (c, order)
-            out.append((c, c, tuple(range(1, c.n_ends + 1))))
-            continue
-        r, rorder = reps[key]
-        sigma = dict(zip(rorder, order))
-        labels: dict = {}
-        for v, d, l in sorted(c.external_edges, key=lambda e: e[2]):
-            labels.setdefault((v, d), []).append(l)
-        inv = [0] * r.n_ends
-        for v, d, l in sorted(r.external_edges, key=lambda e: e[2]):
-            inv[labels[(sigma[v], d)].pop(0) - 1] = l
+        pos = {v: i for i, v in enumerate(order)}
+        labels = [l for _, _, l in sorted(
+            c.external_edges, key=lambda e: (pos[e[0]], e[1], e[2]))]
+        r, rlabels = reps.setdefault(key, (c, labels))
+        inv = [0] * c.n_ends
+        for l, rl in zip(labels, rlabels):
+            inv[l - 1] = rl
         out.append((r, c, tuple(inv)))
     return out
 
@@ -206,11 +202,12 @@ class _ResolutionSolver:
     Assignments sharing that data up to a renaming of the base edges share
     rank, index and feasibility conditions; only the shift vector permutes.
 
-    The connector length of an edge with derivative d is eliminated up front
-    by the integral projection killing d, shrinking each edge's block from 3
-    rows to 2; existence with positive replacement lengths, its sign tests,
-    and the projected shift all live in the reduced system.  The full
-    lattice index is only computed for wirings that actually contribute.
+    The glued rows of a wiring are built once and kept with its entry.  The
+    connector length of an edge with derivative d is eliminated by the
+    integral projection killing d, shrinking each edge's block from 3 rows
+    to 2; existence with positive replacement lengths, its sign tests, and
+    the projected shift all live in the reduced system.  The lattice index
+    of the kept rows is only computed for wirings that actually contribute.
     """
 
     def __init__(self, t: CurveType, stars):
@@ -261,13 +258,18 @@ class _ResolutionSolver:
             if v < 0 or v == 0 and _tie_sign(pulled, order) <= 0:
                 return None
         if entry[0] is None:
-            entry[0] = self._full_index(reps, [wires[i] for i in order])
+            entry[0] = lattice_index(entry[2])
+            if entry[0] is INFINITE:
+                raise InvariantError("solvable wiring must have finite index")
         return entry[0]
 
     def _glue(self, reps, wires):
-        """The glued system over the product of the replacement deformation
-        lattices: per wire the 3 x ncols block "head attachment point minus
-        tail attachment point", and the columns of the replacement lengths."""
+        """The glued rows over the k connector lengths, then the product of
+        the replacement deformation lattices: per wire the 3 rows "head
+        attachment point minus tail attachment point minus d times the
+        connector length", and the columns of the replacement lengths,
+        counted after the connector columns."""
+        k = len(wires)
         forms, offs, ncols = [], [], 0
         for r in reps:
             f = self.forms.get(id(r))
@@ -283,35 +285,38 @@ class _ResolutionSolver:
             pad = [0] * (ncols - offs[vi] - n)
             return [[0] * offs[vi] + row + pad for row in at[slot]]
 
-        blocks = [[[h - t for h, t in zip(hr, tr)]
-                   for hr, tr in zip(point(bi, sb), point(ai, sa))]
-                  for ai, bi, sa, sb, _ in wires]
+        rows = [[-x if e == ei else 0 for e in range(k)]
+                + [h - t for h, t in zip(hr, tr)]
+                for ei, (ai, bi, sa, sb, d) in enumerate(wires)
+                for x, hr, tr in zip(d, point(bi, sb), point(ai, sa))]
         length_cols = [off + c for off, (_, _, cols) in zip(offs, forms)
                        for c in cols]
-        return blocks, length_cols
+        return rows, length_cols
 
     def _solve(self, reps, wires):
         """[index or None, [(certificate row, pulled-back row)] or None if
-        rank-deficient]: a left null vector w != 0 pulls back through the
-        rank-2 projections to a nonzero row, so w never vanishes on the
-        eps-moved shift and the system is never solvable there."""
+        rank-deficient, glued rows]: a left null vector w != 0 pulls back
+        through the rank-2 projections to a nonzero row, so w never vanishes
+        on the eps-moved shift and the system is never solvable there."""
         k = len(wires)
-        blocks, length_cols = self._glue(reps, wires)
+        glued, length_cols = self._glue(reps, wires)
+        if not k:
+            return [None, [], glued]
         projs = [self.proj[d] for *_, d in wires]
-        rows = [[sum(p * x for p, x in zip(prow, col)) for col in zip(*block)]
-                for block, proj in zip(blocks, projs) for prow in proj]
-        if not rows:
-            return [1, []]
+        # P_e d = 0, so the connector columns drop out of the projection
+        rows = [[sum(p * x for p, x in zip(prow, col))
+                 for col in zip(*(r[k:] for r in glued[3 * e:3 * e + 3]))]
+                for e, proj in enumerate(projs) for prow in proj]
         # every solution and null vector below is scaled by the same den > 0,
         # which the sign tests and the primitive rows do not see
         rhs_cols = [[1 if i == j else 0 for i in range(2 * k)]
                     for j in range(2 * k)]
         sol = solve_integral(rows, rhs_cols)
         if sol is None:
-            return [None, None]
+            return [None, None, glued]
         _, s_cols, null = sol
         if not length_cols:
-            return [None, []]
+            return [None, [], glued]
         # B = L N and L S, where L reads off the replacement lengths
         ln = [[nc[i] for nc in null] for i in length_cols]
         conds = positive_combinations(ln)
@@ -328,22 +333,7 @@ class _ResolutionSolver:
                           for e, (pr0, pr1) in enumerate(projs)
                           for p0, p1 in zip(pr0, pr1)]
                 g_rows.append((row, pulled))
-        return [None, g_rows]
-
-    def _full_index(self, reps, wires) -> int:
-        """Index of the unprojected glued map on the product integral lattice,
-        with one connector column -d per wire in front."""
-        k = len(wires)
-        if not k:
-            return 1
-        blocks, _ = self._glue(reps, wires)
-        rows = [[-d[c] if e == ei else 0 for e in range(k)] + block[c]
-                for ei, ((*_, d), block) in enumerate(zip(wires, blocks))
-                for c in range(3)]
-        idx = lattice_index(rows)
-        if idx is INFINITE:
-            raise InvariantError("solvable wiring must have finite index")
-        return idx
+        return [None, g_rows, glued]
 
 
 def _lattice_forms(r: CurveType):
@@ -385,13 +375,13 @@ class _Derivation:
     multiplicity and, as parts, the vertex wedges (_wedge) in vertex order.
     "resolved": parts are (index, vertex curves) per resolution; the vertex
     curves are genus-0 labeled trees, so none has a nontrivial automorphism.
-    weight is the q weight, once evaluated.
+    weight is the q weight evaluated from them.
     """
 
     kind: str
     parts: tuple
+    weight: QHalfLaurent
     multiplicity: int = 1
-    weight: QHalfLaurent | None = None
 
 
 _DERIVATIONS: dict = {}
@@ -411,17 +401,23 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
         return rec
     comps = t.component_types()
     if len(comps) > 1:
-        rec = _Derivation("disconnected", tuple(comps))
+        rec = _Derivation("disconnected", tuple(comps), reduce(
+            mul, (_derivation(c, seed).weight for c in comps)))
     elif not is_general(t):
         raise ValueError("curve weights are defined for general curves only")
     elif is_transverse(t):
-        rec = _Derivation("transverse", tuple(
-            _wedge(vertex_star(t, v).star) for v in t.vertices),
-            loop_multiplicity(t))
+        wedges = tuple(_wedge(vertex_star(t, v).star) for v in t.vertices)
+        m = loop_multiplicity(t)
+        rec = _Derivation("transverse", wedges, reduce(
+            mul, map(_vertex_weight, wedges), QHalfLaurent.one().scale(m)), m)
     else:
-        rec = _Derivation("resolved", tuple(
-            (r.index, r.vertex_types)
-            for r in resolve_with_shifts(t, sample_shifts(t, seed))))
+        parts = tuple((r.index, r.vertex_types)
+                      for r in resolve_with_shifts(t, sample_shifts(t, seed)))
+        w = QHalfLaurent.zero()
+        for index, curves in parts:
+            w = w + reduce(mul, (_derivation(c, seed).weight for c in curves),
+                           QHalfLaurent.one().scale(index))
+        rec = _Derivation("resolved", parts, w)
     _DERIVATIONS[key] = rec
     return rec
 
@@ -435,28 +431,13 @@ def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
     rec = _derivation(t, seed)
-    if mode == "lambda":
-        if rec.kind == "disconnected":
-            return reduce(mul, (curve_weight(c, order, mode, seed)
-                                for c in rec.parts))
-        top = order + t.n_vertices - 1 if rec.kind == "transverse" else order
-        return _substitute(curve_weight(t, order, "q", seed), top,
-                           t.zero_end_count())
-    if rec.weight is None:
-        if rec.kind == "resolved":
-            w = QHalfLaurent.zero()
-            for index, parts in rec.parts:
-                prod = QHalfLaurent.one().scale(index)
-                for part in parts:
-                    prod = prod * curve_weight(part, order, mode, seed)
-                w = w + prod
-        else:
-            w = QHalfLaurent.one().scale(rec.multiplicity)
-            for p in rec.parts:
-                w = w * (_vertex_weight(p) if rec.kind == "transverse"
-                         else curve_weight(p, order, mode, seed))
-        rec.weight = w
-    return rec.weight
+    if mode == "q":
+        return rec.weight
+    if rec.kind == "disconnected":
+        return reduce(mul, (curve_weight(c, order, mode, seed)
+                            for c in rec.parts))
+    top = order + t.n_vertices - 1 if rec.kind == "transverse" else order
+    return _substitute(rec.weight, top, t.zero_end_count())
 
 
 def weight_trace(t: CurveType, seed: int = 0) -> dict:

@@ -249,3 +249,36 @@ class TestPlacementOracle:
                     assert p.index == want, t
                     indices.append(p.index)
         assert indices and any(i != 1 for i in indices)
+
+
+class TestGluedIndexOracle:
+    def test_cached_index_is_the_invariant_factor_product(self, monkeypatch):
+        # every contributing wiring of Gamma_mu, |mu| <= 4, keeps its full
+        # glued rows; sympy's invariant factors of them multiply to the
+        # index, which is 2 for mu = (2, 2)
+        solvers = []
+
+        class Recording(weights._ResolutionSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                solvers.append(self)
+
+        monkeypatch.setattr(weights, "_ResolutionSolver", Recording)
+        for n in range(1, 5):
+            for mu in enumeration._partitions(n):
+                weights.clear_caches()
+                weights.curve_weight(gamma_mu(n, mu), 4, "q", 0)
+        weights.clear_caches()
+        indices = []
+        for solver in solvers:
+            for index, _, rows in solver.cache.values():
+                if index is None:
+                    continue
+                factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+                assert len(factors) == len(rows), rows
+                want = 1
+                for f in factors:
+                    want *= abs(int(f))
+                assert index == want, rows
+                indices.append(index)
+        assert indices and any(i != 1 for i in indices)

@@ -15,7 +15,7 @@ from tropgw.exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
 from tropgw.identities import gamma_mu
 from tropgw.lattice import InvariantError
 from tropgw.tropcurve import (CurveType, automorphism_count, genus,
-                              is_transverse)
+                              is_transverse, vertex_star)
 from tropgw.weights import (
     UnsupportedVertex,
     curve_weight,
@@ -103,7 +103,6 @@ class TestTransverseWeight:
             [(0, (-1, 0, 2), 1), (1, (1, -1, 0), 2), (2, (0, 1, -2), 3)])
         w = curve_weight(t, K, "lambda")
         prod = LaurentSeries.monomial(2, 0, K)
-        from tropgw.tropcurve import vertex_star
         for v in t.vertices:
             prod = prod * vertex_series(vertex_star(t, v).star, K)
         assert w.agrees(prod)
@@ -122,6 +121,27 @@ class TestResolutions:
             for m in mu:
                 prod *= m
             assert res[0].index == prod // lcm(mu)
+
+    def test_relabeling_maps_candidates_onto_their_rep(self):
+        # the Gamma_mu vertex stars, |mu| <= 4, and a star whose candidates
+        # split both pairs of equal derivatives across their two vertices
+        stars = [vertex_star(gamma_mu(n, mu), v).star
+                 for n in range(1, 5) for mu in _partitions(n) for v in (0, 1)]
+        stars.append(single_vertex((1, 0, 0), (1, 0, 0), (0, 1, 0),
+                                   (0, 1, 0), (-2, -2, 0)))
+        moved_ends = 0
+        for star in stars:
+            cands = enumerate_curve_types(
+                [d for _, d, _ in star.external_edges],
+                SearchBounds(max(star.n_ends - 3, 0), max_genus=0))
+            for rep, c, inv in weights._group_by_relabeling(cands):
+                relabeled = CurveType.make(
+                    c.vertices, c.internal_edges,
+                    [(v, d, inv[l - 1]) for v, d, l in c.external_edges])
+                assert relabeled.canonical_key() == rep.canonical_key(), c
+                moved_ends += sum(l != inv[l - 1] for _, _, l in
+                                  c.external_edges)
+        assert moved_ends > 0
 
     @pytest.mark.parametrize("seed", [0, 15])
     def test_replacements_are_rigid_trees(self, seed):
