@@ -208,6 +208,15 @@ def expected_gamma_mu_weight(mu, order: int) -> LaurentSeries:
     return acc
 
 
+def expected_gamma_mu_qweight(mu) -> QHalfLaurent:
+    """The q side of expected_gamma_mu_weight: (1/lcm mu) prod_m [m]_q^2/m."""
+    acc = QHalfLaurent.one().scale(Fraction(1, lcm(*mu)))
+    for m in mu:
+        qm = quantum_integer_q(m)
+        acc = acc * qm * qm.scale(Fraction(1, m))
+    return acc
+
+
 def suite_s3(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
     """Identities from the four-end computations: closed forms, recursions,
     the partition identity and the planar bracket relation."""
@@ -249,7 +258,8 @@ def suite_s4(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
 
 
 def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
-    """The q-side: substitution bridge and the weight-level consistency."""
+    """The q side: the substitution bridge, the vertex weights' consistency
+    and the loop-family q weights against their closed form."""
     checks = []
     checks.append(("quantum integers substitute to sine brackets through 12",
                    substitution_bridge_holds(12, order)))
@@ -265,9 +275,9 @@ def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
         for mu in _partitions(total):
             if len(mu) == 1:
                 continue
-            w = curve_weight(gamma_mu(total, mu), order, "lambda", seed)
+            w = curve_weight(gamma_mu(total, mu), order, "q", seed)
             checks.append((f"loop family consistency for mu={mu}",
-                           w.agrees(expected_gamma_mu_weight(mu, order))))
+                           w == expected_gamma_mu_qweight(mu)))
     dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, order, seed)
     checks.append(("product-of-lines reduced DT equals q",
                    dt == QHalfLaurent.monomial(1, 2)))
