@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Sequence
 
@@ -455,7 +456,7 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
     for t in expanded:
         if t.n_internal > bounds.max_internal_edges:
             continue
-        if t.is_connected() and t.n_internal - t.n_vertices + 1 > bounds.max_genus:
+        if t.n_internal - t.n_vertices + 1 > bounds.max_genus:
             continue
         key = t.canonical_key()
         if key in seen:
@@ -500,17 +501,10 @@ def _enumerate_disconnected(ends, bounds) -> list[CurveType]:
             if not sub:
                 ok = False
                 break
-            per_block.append((b, sub))
+            per_block.append([(b, s) for s in sub])
         if not ok:
             continue
-        def rec(i, acc):
-            if i == len(per_block):
-                yield list(acc)
-                return
-            b, subs = per_block[i]
-            for s in subs:
-                yield from rec(i + 1, acc + [(b, s)])
-        for combo in rec(0, []):
+        for combo in product(*per_block):
             merged = _merge_components(combo)
             key = merged.canonical_key()
             if key not in out:
