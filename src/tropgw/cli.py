@@ -9,6 +9,7 @@ key of a count is always 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,7 +89,7 @@ def _default_seed() -> int:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--order", type=int, default=20, metavar="K")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)   # main fills in _default_seed()
     p.add_argument("--max-internal-edges", type=int)
     p.add_argument("--max-genus", type=int)
     p.add_argument("--max-deriv", type=int)
@@ -213,7 +214,10 @@ def cmd_verify_identities(args) -> int:
     return EXIT_IDENTITY if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; it holds no default that
+    depends on the environment."""
     ap = argparse.ArgumentParser(
         prog="tropgw",
         description="Exact tropical curve counts and their generating functions")
@@ -268,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         if getattr(args, "order", 1) < 1:
             raise ParseFailure("--order must be at least 1")
         return args.fn(args)

@@ -1,10 +1,12 @@
 """Bounded enumeration of general curve types and exact placement solving.
 
-Genus zero is a complete search over leaf-labeled trivalent trees (internal
-derivatives are forced by balancing).  Positive genus augments the trees two
-ways: splitting a non-primitive internal edge into parallel multiples of its
-primitive direction, and adding extra edges between existing vertices with a
-bounded free derivative, rebalancing along the tree path.  Everything is then
+Genus zero is a complete search over leaf-labeled trivalent trees, grown
+depth first by leaf insertion; the internal derivatives are forced by
+balancing in one pass over the tree rooted at leaf 1.  Positive genus
+augments the trees two ways: splitting a non-primitive internal edge into
+parallel multiples of its primitive direction, and adding extra edges between
+existing vertices with a bounded free derivative, rebalancing along the path
+between them, which is found once per vertex pair.  Everything is then
 filtered through is_general and deduplicated up to isomorphism; completeness
 holds only within the stated bounds and every caller surfaces them.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 from typing import Sequence
 
@@ -217,64 +219,64 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
 
 
 def _tree_shapes(n: int):
-    """Edge lists of leaf-labeled trivalent trees; leaves 1..n, internal > n."""
-    if n < 3:
-        return
-    shapes = [([(1, n + 1), (2, n + 1), (3, n + 1)], n + 1)]
-    for j in range(4, n + 1):
-        nxt = []
-        for edges, last in shapes:
-            for i, (u, v) in enumerate(edges):
-                nid = last + 1
-                ne = edges[:i] + edges[i + 1:] + [(u, nid), (nid, v), (j, nid)]
-                nxt.append((ne, nid))
-        shapes = nxt
-    for edges, _ in shapes:
-        yield edges
+    """Edge lists of leaf-labeled trivalent trees; leaves 1..n, internal > n.
+
+    Grown depth first: leaf j goes on each edge of the partial tree in turn,
+    as the new internal node n + j - 2, so only the partial trees of the
+    current branch are alive.
+    """
+    def grow(edges, j):
+        if j > n:
+            yield edges
+            return
+        nid = n + j - 2
+        for i, (u, v) in enumerate(edges):
+            yield from grow(edges[:i] + edges[i + 1:]
+                            + [(u, nid), (nid, v), (j, nid)], j + 1)
+
+    if n >= 3:
+        yield from grow([(1, n + 1), (2, n + 1), (3, n + 1)], 4)
 
 
 def _tree_to_type(edges, ends: Sequence[IntVec3]) -> CurveType | None:
-    """Force internal derivatives by balancing; None if some become zero."""
+    """Force internal derivatives by balancing; None if some become zero.
+
+    The tree is rooted at leaf 1 and below[x] sums the ends under x.  An
+    internal edge (u, v) leaves u with below[v] when v is u's child, and
+    otherwise with -below[u], since all the ends balance.
+    """
     n = len(ends)
-    nodes = sorted({u for e in edges for u in e})
-    internal = [u for u in nodes if u > n]
-    adj = {u: [] for u in nodes}
-    for idx, (u, v) in enumerate(edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent = {1: None}
+    order = [1]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    below = {}
+    for x in reversed(order):   # children before their parent
+        if x <= n:
+            below[x] = ends[x - 1]
+        else:
+            a, b = (below[y] for y in adj[x] if y != parent[x])
+            below[x] = tuple(p + q for p, q in zip(a, b))
     ext = []
     internal_edges = []
     for u, v in edges:
-        if u <= n and v <= n:
-            return None  # n = 2 style degenerate shape; not produced for n >= 3
         if u <= n:
-            ext.append((v, tuple(ends[u - 1]), u))
+            ext.append((v, ends[u - 1], u))
         elif v <= n:
-            ext.append((u, tuple(ends[v - 1]), v))
+            ext.append((u, ends[v - 1], v))
         else:
-            # cutting the edge: summing balance over the v side leaves the
-            # head contribution -d plus the v-side leaf ends, so d = leaf sum
-            stack = [v]
-            seen = {u, v}
-            leaf_sum = [0, 0, 0]
-            while stack:
-                w = stack.pop()
-                if w <= n:
-                    for c in range(3):
-                        leaf_sum[c] += ends[w - 1][c]
-                    continue
-                for x, _ in adj[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            d = tuple(leaf_sum)
+            d = below[v] if parent[v] == u else tuple(-x for x in below[u])
             if d == (0, 0, 0):
                 return None
             internal_edges.append((u, v, d))
-    try:
-        return CurveType.make(internal, internal_edges, ext)
-    except ValueError:
-        return None
+    return CurveType.make(range(n + 1, 2 * n - 1), internal_edges, ext)
 
 
 def _cheap_reject(t: CurveType) -> bool:
@@ -328,16 +330,13 @@ def _parallel_splits(t: CurveType, bounds: SearchBounds):
             parts = [(u, w, tuple(m * x for x in p)) for m in mu]
             yield from rec(idx + 1, acc_edges + parts, extra_genus + len(mu) - 1)
     for edges in rec(0, [], 0):
-        if len(edges) == t.n_internal:
-            continue  # the trivial all-singleton choice reproduces t
-        try:
+        if len(edges) != t.n_internal:   # all singletons reproduce t
             yield CurveType.make(t.vertices, edges, t.external_edges)
-        except ValueError:
-            continue
 
 
 def _tree_path(t: CurveType, u: int, w: int):
-    """Path of (edge index, aligned) pairs from u to w through internal edges."""
+    """Path of (edge index, aligned) pairs from u to w through internal edges;
+    u and w lie in one component."""
     adj = {v: [] for v in t.vertices}
     for i, (a, b, _) in enumerate(t.internal_edges):
         adj[a].append((b, i, True))
@@ -352,8 +351,6 @@ def _tree_path(t: CurveType, u: int, w: int):
             if y not in prev:
                 prev[y] = (x, i, aligned)
                 stack.append(y)
-    if w not in prev:
-        return None
     path = []
     x = w
     while prev[x] is not None:
@@ -363,24 +360,15 @@ def _tree_path(t: CurveType, u: int, w: int):
     return list(reversed(path))
 
 
-def _with_extra_edge(t: CurveType, u: int, w: int, d: IntVec3) -> CurveType | None:
-    path = _tree_path(t, u, w)
-    if path is None:
-        return None
-    edges = [list(e) for e in t.internal_edges]
+def _with_extra_edge(t: CurveType, path, u: int, w: int, d: IntVec3) -> CurveType:
+    """t with an extra edge u -> w of derivative d, rebalanced along the path
+    _tree_path(t, u, w)."""
+    edges = list(t.internal_edges)
     for i, aligned in path:
-        old = edges[i][2]
-        if aligned:
-            edges[i][2] = tuple(a - b for a, b in zip(old, d))
-        else:
-            edges[i][2] = tuple(a + b for a, b in zip(old, d))
-    edges.append([u, w, d])
-    try:
-        return CurveType.make(t.vertices,
-                              [(a, b, tuple(dd)) for a, b, dd in edges],
-                              t.external_edges)
-    except ValueError:
-        return None
+        a, b, old = edges[i]
+        s = -1 if aligned else 1
+        edges[i] = (a, b, tuple(x + s * y for x, y in zip(old, d)))
+    return CurveType.make(t.vertices, edges + [(u, w, d)], t.external_edges)
 
 
 def _box_vectors(b: int):
@@ -404,42 +392,34 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
     if not connected:
         return _enumerate_disconnected(ends, bounds)
     n = len(ends)
-    candidates: list[CurveType] = []
     if n == 0:
         return []
     if n <= 2:
         # single-vertex possibilities; a 2-end curve is never general and the
         # vertexless line is outside this data model
-        try:
-            candidates.append(CurveType.make(
-                [0], (), [(0, e, i + 1) for i, e in enumerate(ends)]))
-        except ValueError:
-            pass
+        trees = [CurveType.make([0], (), [(0, e, i + 1)
+                                          for i, e in enumerate(ends)])]
     else:
-        for edges in _tree_shapes(n):
-            t = _tree_to_type(edges, ends)
-            if t is not None:
-                candidates.append(t)
-
-    base_trees = [t for t in candidates if not _cheap_reject(t)]
+        trees = (_tree_to_type(edges, ends) for edges in _tree_shapes(n))
+    base_trees = [t for t in trees if t is not None and not _cheap_reject(t)]
     expanded = list(base_trees)
     if bounds.max_genus > 0:
         # extra edges with free bounded derivatives, iterated
+        box = list(_box_vectors(bounds.max_derivative_norm))
         layer = base_trees
         for _ in range(bounds.max_genus):
-            if not layer:
+            if not (layer and box):
                 break
             nxt = []
             for t in layer:
                 if t.n_internal + 1 > bounds.max_internal_edges:
                     continue
-                for ui in range(len(t.vertices)):
-                    for wi in range(ui + 1, len(t.vertices)):
-                        for d in _box_vectors(bounds.max_derivative_norm):
-                            t2 = _with_extra_edge(
-                                t, t.vertices[ui], t.vertices[wi], d)
-                            if t2 is not None and not _cheap_reject(t2):
-                                nxt.append(t2)
+                for u, w in combinations(t.vertices, 2):
+                    path = _tree_path(t, u, w)
+                    for d in box:
+                        t2 = _with_extra_edge(t, path, u, w, d)
+                        if not _cheap_reject(t2):
+                            nxt.append(t2)
             expanded.extend(nxt)
             layer = nxt
         # parallel splittings of non-primitive edges

@@ -457,8 +457,15 @@ class TestGenusBound:
 
 class TestSeedEnv:
     def test_env_default(self, capsys, monkeypatch):
+        # the parser is built once per process, so the variable has to be
+        # read on each call, not when the parser is built
+        def seed():
+            code, out, _ = run(capsys, "fgamma", data_path("vertex_wedge1.json"),
+                               "--format", "json")
+            assert code == 0
+            return json.loads(out)["seed"]
+
         monkeypatch.setenv("TROPGW_SEED", "17")
-        parser = cli.build_parser()
-        args = parser.parse_args(["fgamma", "x.json"])
-        # the parser is built at call time inside main(); simulate that here
-        assert cli._default_seed() == 17
+        assert seed() == 17
+        monkeypatch.delenv("TROPGW_SEED")
+        assert seed() == 0

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+import enumeration_oracle
 from tropgw.enumeration import (
     ConstraintCycle,
     SearchBounds,
     Stratum,
+    _partitions,
+    _tree_shapes,
+    _tree_to_type,
     cycle_from_constraints,
     enumerate_curve_types,
     place_curves,
 )
-from tropgw.tropcurve import CurveType, is_general
+from tropgw.identities import gamma_mu
+from tropgw.tropcurve import CurveType, is_general, vertex_star
 
 
 B = SearchBounds()
@@ -68,6 +73,35 @@ class TestEnumerate:
         high = enumerate_curve_types(ends, SearchBounds(max_genus=4))
         assert len(low) < len(high)
         assert {t.canonical_key() for t in low} <= {t.canonical_key() for t in high}
+
+
+class TestTreeOracle:
+    def test_depth_first_shapes_match_breadth_first(self):
+        for n in range(3, 9):
+            assert (list(_tree_shapes(n))
+                    == list(enumeration_oracle.tree_shapes(n)))
+
+    def test_rooted_pass_matches_per_edge_sums(self):
+        # the end sets of the enumerate benchmark workload and the vertex
+        # stars of Gamma_mu, |mu| <= 6 (up to 8 ends)
+        cp3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        mark = (0, 0, 0)
+        end_sets = [
+            cp3 + [mark] * 2,
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+             (0, 0, -1)],
+            [(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), mark],
+            cp3 + [mark],
+        ] + [[d for _, d, _ in vertex_star(gamma_mu(n, mu), v).star.external_edges]
+             for n in range(1, 7) for mu in _partitions(n) for v in (0, 1)]
+        made = dropped = 0
+        for ends in end_sets:
+            for edges in _tree_shapes(len(ends)):
+                t = _tree_to_type(edges, ends)
+                assert t == enumeration_oracle.tree_to_type(edges, ends)
+                made += t is not None
+                dropped += t is None
+        assert made and dropped
 
 
 class TestDisconnected:

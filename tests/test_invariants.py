@@ -1,11 +1,14 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from tropgw import invariants
 from tropgw.enumeration import SearchBounds, cycle_from_constraints
-from tropgw.exactnum import LaurentSeries, QHalfLaurent, two_sin_half
+from tropgw.exactnum import LaurentSeries, QHalfLaurent, q_to_lambda, two_sin_half
 from tropgw.invariants import (
     CountRequest,
     ToricFan,
@@ -223,6 +226,51 @@ class TestReducedDT:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             reduced_dt(p1_cubed_fan(), [0] * 6, 1, K)
+
+
+def _bridge_cases() -> dict:
+    """name -> (request, k): the bundled count requests, whose ends carry no
+    marker, and two toric degree classes with k point markers."""
+    data = resources.files("tropgw") / "data"
+    cases = {name: (CountRequest.from_json(
+                json.loads((data / f"{name}.json").read_text())), 0)
+             for name in ("s3_family1_configA", "s3_family1_configB",
+                          "s3_family3_n3_configA", "s3_family3_n3_configB")}
+    for name, fan, degrees, points in (
+            ("cp3-1111", cp3_fan(), [1, 1, 1, 1], 2),
+            ("p1cubed-110000", p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1)):
+        ends, cons = invariants._degree_ends(fan, degrees, points, 0)
+        cases[name] = (CountRequest(
+            tuple(ends), cycle_from_constraints(ends, cons)), points)
+    return cases
+
+
+BRIDGE_CASES = _bridge_cases()
+
+
+class TestLambdaQBridge:
+    """The lambda count is x^k times the substitution of the q count, k the
+    number of marker ends, through the same order.  At an order below k the
+    substitution is taken at order 0 and cut back."""
+
+    @pytest.mark.parametrize("order", (1, 3, 20))
+    @pytest.mark.parametrize("req,k", BRIDGE_CASES.values(), ids=BRIDGE_CASES)
+    def test_lambda_count_is_the_substituted_q_count(self, req, k, order):
+        lam = weighted_count(replace(req, mode="lambda"), order).value
+        q = weighted_count(replace(req, mode="q"), order).value
+        sub, real = q_to_lambda(q, max(order - k, 0))
+        assert real
+        assert lam == sub.shift(k).truncate(order)
+
+    def test_connected_q_counts(self):
+        def q(name):
+            return weighted_count(replace(BRIDGE_CASES[name][0], mode="q")).value
+
+        # q^-1 + 2 + q, that is [1]_q^2
+        assert q("cp3-1111") == (QHalfLaurent.monomial(1, -2)
+                                 + QHalfLaurent.monomial(2, 0)
+                                 + QHalfLaurent.monomial(1, 2))
+        assert q("p1cubed-110000") == QHalfLaurent.one()
 
 
 class TestRobustness:

@@ -10,6 +10,11 @@ A change that moves any exact value, index, automorphism count or trace
 entry changes the digest.  A deliberate change of an output must update
 PINNED together with a note of what moved and why.
 
+PINNED enumerates only at max_derivative_norm 0.  ENUMERATION_PINNED holds
+the sha256 of the sort_keys JSON of the types of two more enumerations: one
+through the loop-edge search, one through the parallel splittings of
+non-primitive edges.
+
     PYTHONPATH=src python tests/test_pinned_outputs.py OUT.json
 
 writes the pinned document itself (sorted keys, indented), so the documents
@@ -23,8 +28,10 @@ import json
 import sys
 from importlib import resources
 
+import pytest
+
 from tropgw import cli, weights
-from tropgw.enumeration import _partitions
+from tropgw.enumeration import SearchBounds, _partitions, enumerate_curve_types
 from tropgw.identities import gamma_mu
 
 DATA = resources.files("tropgw") / "data"
@@ -35,6 +42,17 @@ SEEDS = (0, 15)
 # is the removed "seed" key of the "bounds" object in each of the 34 command
 # outputs, which always repeated the top-level "seed"; every value stayed.
 PINNED = "10344fa0d61a8a5a34767ab8617cfe88ec3a219adc7675243c84db15bb396de5"
+
+_CP3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+_MARK = (0, 0, 0)
+
+# (ends, bounds, number of types, digest)
+ENUMERATION_PINNED = [
+    (_CP3 + [_MARK], SearchBounds(5, 1, 1), 48,
+     "635faa7917dbfb6b87a7a5bb407d5d2995b1387a8a4fb5ad6263f6a9adef234e"),
+    ([(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), _MARK], SearchBounds(),
+     60, "8c8cbe4713ea6d1d7ec8fa65f7e8410de44cf25435a413d0d6ac3e08265f2013"),
+]
 
 CLI_INPUTS = [
     ["absolute", "cp3.json", "--degrees", "1", "--points", "2"],
@@ -98,6 +116,15 @@ def pinned_digest() -> str:
 
 def test_weights_traces_and_cli_outputs_are_pinned():
     assert pinned_digest() == PINNED
+
+
+@pytest.mark.parametrize("ends,bounds,count,digest", ENUMERATION_PINNED,
+                         ids=["loop-edge search", "parallel splits"])
+def test_enumerations_are_pinned(ends, bounds, count, digest):
+    types = enumerate_curve_types(ends, bounds)
+    assert len(types) == count
+    assert hashlib.sha256(json.dumps(
+        [t.to_json() for t in types], sort_keys=True).encode()).hexdigest() == digest
 
 
 if __name__ == "__main__":
