@@ -6,9 +6,10 @@ balancing in one pass over the tree rooted at leaf 1.  Positive genus
 augments the trees two ways: splitting a non-primitive internal edge into
 parallel multiples of its primitive direction, and adding extra edges between
 existing vertices with a bounded free derivative, rebalancing along the path
-between them, which is found once per vertex pair.  Everything is then
-filtered through is_general and deduplicated up to isomorphism; completeness
-holds only within the stated bounds and every caller surfaces them.
+between them, which is found once per vertex pair.  The surviving trees are
+general and distinct as they are; only the augmented types are filtered
+through is_general and deduplicated up to isomorphism.  Completeness holds
+only within the stated bounds and every caller surfaces them.
 """
 
 from __future__ import annotations
@@ -267,10 +268,8 @@ def _tree_to_type(edges, ends: Sequence[IntVec3]) -> CurveType | None:
     ext = []
     internal_edges = []
     for u, v in edges:
-        if u <= n:
+        if u <= n:   # _tree_shapes puts the leaf of an end first
             ext.append((v, ends[u - 1], u))
-        elif v <= n:
-            ext.append((u, ends[v - 1], v))
         else:
             d = below[v] if parent[v] == u else tuple(-x for x in below[u])
             if d == (0, 0, 0):
@@ -280,7 +279,15 @@ def _tree_to_type(edges, ends: Sequence[IntVec3]) -> CurveType | None:
 
 
 def _cheap_reject(t: CurveType) -> bool:
-    """Fast necessary-condition filters ahead of the exact generality check."""
+    """Fast necessary-condition filters ahead of the exact generality check.
+
+    On a tree they are sufficient.  Take a cherry v with ends a and b, joined
+    to the rest by the edge e.  A zero end pins v; else a and b are not
+    parallel, as a colinear vertex is rejected, so their lines pin v.  Then
+    e's line is fixed and d_e != 0, so recurse on the smaller tree: evaluation
+    is injective.  With no loops the deformation space has dimension
+    3 + (n - 3) = n, the number of ends.
+    """
     for _, _, d in t.internal_edges:
         if d == (0, 0, 0):
             return True
@@ -297,9 +304,6 @@ def _cheap_reject(t: CurveType) -> bool:
 
 def _partitions(n: int):
     """Partitions of n as descending tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(rest, maxpart):
         if rest == 0:
             yield ()
@@ -312,11 +316,10 @@ def _partitions(n: int):
 
 def _parallel_splits(t: CurveType, bounds: SearchBounds):
     """All ways to split non-primitive internal edges into parallel parts."""
-    options = []
-    for i, (u, w, d) in enumerate(t.internal_edges):
-        p, g = primitive_part(d)
-        opts = list(_partitions(g))
-        options.append((i, p, opts))
+    primitive = [primitive_part(d) for _, _, d in t.internal_edges]
+    if all(g == 1 for _, g in primitive):
+        return
+    options = [(p, list(_partitions(g))) for p, g in primitive]
     def rec(idx, acc_edges, extra_genus):
         if extra_genus > bounds.max_genus:
             return
@@ -324,8 +327,8 @@ def _parallel_splits(t: CurveType, bounds: SearchBounds):
             if len(acc_edges) <= bounds.max_internal_edges:
                 yield acc_edges
             return
-        i, p, opts = options[idx]
-        u, w, d = t.internal_edges[i]
+        u, w, _ = t.internal_edges[idx]
+        p, opts = options[idx]
         for mu in opts:
             parts = [(u, w, tuple(m * x for x in p)) for m in mu]
             yield from rec(idx + 1, acc_edges + parts, extra_genus + len(mu) - 1)
@@ -392,21 +395,19 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
     if not connected:
         return _enumerate_disconnected(ends, bounds)
     n = len(ends)
-    if n == 0:
+    if n < 3:   # a vertex with fewer than 3 ends is never general
         return []
-    if n <= 2:
-        # single-vertex possibilities; a 2-end curve is never general and the
-        # vertexless line is outside this data model
-        trees = [CurveType.make([0], (), [(0, e, i + 1)
-                                          for i, e in enumerate(ends)])]
-    else:
-        trees = (_tree_to_type(edges, ends) for edges in _tree_shapes(n))
-    base_trees = [t for t in trees if t is not None and not _cheap_reject(t)]
-    expanded = list(base_trees)
+    trees = [t for t in (_tree_to_type(edges, ends) for edges in _tree_shapes(n))
+             if t is not None and not _cheap_reject(t)]
+    # each surviving tree is general (see _cheap_reject) and, being fixed by
+    # its splits, a type of its own: the key only sorts
+    kept = ({t.canonical_key(): t for t in trees}
+            if n - 3 <= bounds.max_internal_edges else {})
     if bounds.max_genus > 0:
+        augmented = []
         # extra edges with free bounded derivatives, iterated
         box = list(_box_vectors(bounds.max_derivative_norm))
-        layer = base_trees
+        layer = trees
         for _ in range(bounds.max_genus):
             if not (layer and box):
                 break
@@ -420,33 +421,26 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
                         t2 = _with_extra_edge(t, path, u, w, d)
                         if not _cheap_reject(t2):
                             nxt.append(t2)
-            expanded.extend(nxt)
+            augmented.extend(nxt)
             layer = nxt
         # parallel splittings of non-primitive edges
-        for t in list(expanded):
-            for s in _parallel_splits(t, bounds):
-                if not _cheap_reject(s):
-                    expanded.append(s)
-
-    # bounds, dedupe, generality; keys of rejects are kept too, to skip
-    # isomorphic copies
-    blocks = _evaluation_blocks(ends)
-    kept: list[tuple] = []
-    seen: set = set()
-    for t in expanded:
-        if t.n_internal > bounds.max_internal_edges:
-            continue
-        if t.n_internal - t.n_vertices + 1 > bounds.max_genus:
-            continue
-        key = t.canonical_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if not _is_general(t, blocks):
-            continue
-        kept.append((key, t))
-    kept.sort(key=lambda kt: kt[0])
-    return [t for _, t in kept]
+        for t in trees + augmented:
+            augmented.extend(s for s in _parallel_splits(t, bounds)
+                             if not _cheap_reject(s))
+        # both layers keep within max_internal_edges, but a split can exceed
+        # max_genus; keys of rejects are kept too, to skip isomorphic copies
+        blocks = _evaluation_blocks(ends)
+        seen = set(kept)
+        for t in augmented:
+            if t.n_internal - t.n_vertices + 1 > bounds.max_genus:
+                continue
+            key = t.canonical_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            if _is_general(t, blocks):
+                kept[key] = t
+    return [kept[key] for key in sorted(kept)]
 
 
 def _set_partitions(items: list):

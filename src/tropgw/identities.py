@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import factorial, isqrt, lcm
 
 from .exactnum import (
@@ -120,22 +121,14 @@ def pluecker_triples(count: int = 12):
     """Coplanar triples with all brackets positively oriented: determinants
     det(a,b), det(b,c), det(a,c) positive and det(a,b) > det(b,c)."""
     out = []
-    span = range(-2, 3)
-    for a1 in span:
-        for a2 in span:
-            for b1 in span:
-                for b2 in span:
-                    for c1 in span:
-                        for c2 in span:
-                            d_ab = a1 * b2 - a2 * b1
-                            d_bc = b1 * c2 - b2 * c1
-                            d_ac = a1 * c2 - a2 * c1
-                            if (d_ab > 0 and d_bc > 0 and d_ac > 0
-                                    and d_ab > d_bc):
-                                out.append(((a1, a2, 0), (b1, b2, 0),
-                                            (c1, c2, 0)))
-                                if len(out) >= count:
-                                    return out
+    for a1, a2, b1, b2, c1, c2 in product(range(-2, 3), repeat=6):
+        d_ab = a1 * b2 - a2 * b1
+        d_bc = b1 * c2 - b2 * c1
+        d_ac = a1 * c2 - a2 * c1
+        if d_ab > 0 and d_bc > 0 and d_ac > 0 and d_ab > d_bc:
+            out.append(((a1, a2, 0), (b1, b2, 0), (c1, c2, 0)))
+            if len(out) >= count:
+                return out
     return out
 
 
@@ -156,24 +149,20 @@ def pluecker_identity_holds(a, b, c, order: int) -> bool:
 def wedge_determines_vertex_weight(order: int, span: int = 3) -> bool:
     """Vertex weights for end pairs with equal wedge index agree coefficientwise."""
     seen: dict[int, LaurentSeries] = {}
-    for a1 in range(-span, span + 1):
-        for a2 in range(-span, span + 1):
-            for b1 in range(-span, span + 1):
-                for b2 in range(-span, span + 1):
-                    a = (a1, a2, 0)
-                    b = (b1, b2, 1)
-                    n = wedge_index(a, b)
-                    if n == 0 or n > 6:
-                        continue
-                    third = tuple(-(x + y) for x, y in zip(a, b))
-                    star = CurveType.make(
-                        [0], (), [(0, a, 1), (0, b, 2), (0, third, 3)])
-                    w = vertex_series(star, order)
-                    if n in seen:
-                        if not w.agrees(seen[n]):
-                            return False
-                    else:
-                        seen[n] = w
+    for a1, a2, b1, b2 in product(range(-span, span + 1), repeat=4):
+        a = (a1, a2, 0)
+        b = (b1, b2, 1)
+        n = wedge_index(a, b)
+        if n == 0 or n > 6:
+            continue
+        third = tuple(-(x + y) for x, y in zip(a, b))
+        star = CurveType.make([0], (), [(0, a, 1), (0, b, 2), (0, third, 3)])
+        w = vertex_series(star, order)
+        if n in seen:
+            if not w.agrees(seen[n]):
+                return False
+        else:
+            seen[n] = w
     return True
 
 

@@ -1,14 +1,24 @@
-"""Breadth-first tree shapes and per-edge derivative sums, kept as a test
-oracle.
+"""Breadth-first tree shapes, per-edge derivative sums and the filter every
+enumeration candidate once passed, kept as test oracles.
 
 The library grows its trees depth first and forces every internal derivative
-in one pass over the tree rooted at leaf 1.  The functions here build each
-level of shapes in full and cut each internal edge by a walk of its own, as
-the enumeration once did, and use nothing from tropgw.enumeration, so the
-tests can compare the two paths.
+in one pass over the tree rooted at leaf 1.  tree_shapes and tree_to_type
+build each level of shapes in full and cut each internal edge by a walk of
+its own, as the enumeration once did, and use nothing from
+tropgw.enumeration, so the tests can compare the two paths.
+
+The library also takes the genus-0 trees without a rank test or a duplicate
+check, and splits only types with a non-primitive internal edge.
+enumerate_curve_types takes the library's trees and loop-edge types, splits
+every one of them, and passes every candidate, trees included, through the
+bounds, the duplicate check and is_general, as the enumeration once did.
 """
 
-from tropgw.tropcurve import CurveType
+from itertools import combinations
+
+from tropgw import enumeration
+from tropgw.lattice import primitive_part
+from tropgw.tropcurve import CurveType, is_general
 
 
 def tree_shapes(n: int):
@@ -66,3 +76,81 @@ def tree_to_type(edges, ends):
                 return None
             internal_edges.append((u, v, d))
     return CurveType.make(internal, internal_edges, ext)
+
+
+def enumerate_curve_types(ends, bounds):
+    """The connected general types of the ends, every candidate filtered."""
+    ends = [tuple(e) for e in ends]
+    n = len(ends)
+    if n == 0:
+        return []
+    if n <= 2:
+        trees = [CurveType.make([0], (), [(0, e, i + 1)
+                                          for i, e in enumerate(ends)])]
+    else:
+        trees = (enumeration._tree_to_type(edges, ends)
+                 for edges in enumeration._tree_shapes(n))
+    expanded = [t for t in trees
+                if t is not None and not enumeration._cheap_reject(t)]
+    if bounds.max_genus > 0:
+        box = list(enumeration._box_vectors(bounds.max_derivative_norm))
+        layer = list(expanded)
+        for _ in range(bounds.max_genus):
+            if not (layer and box):
+                break
+            nxt = []
+            for t in layer:
+                if t.n_internal + 1 > bounds.max_internal_edges:
+                    continue
+                for u, w in combinations(t.vertices, 2):
+                    path = enumeration._tree_path(t, u, w)
+                    for d in box:
+                        t2 = enumeration._with_extra_edge(t, path, u, w, d)
+                        if not enumeration._cheap_reject(t2):
+                            nxt.append(t2)
+            expanded.extend(nxt)
+            layer = nxt
+        for t in list(expanded):
+            for s in parallel_splits(t, bounds):
+                if not enumeration._cheap_reject(s):
+                    expanded.append(s)
+    kept = []
+    seen = set()
+    for t in expanded:
+        if t.n_internal > bounds.max_internal_edges:
+            continue
+        if t.n_internal - t.n_vertices + 1 > bounds.max_genus:
+            continue
+        key = t.canonical_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        if is_general(t):
+            kept.append((key, t))
+    kept.sort(key=lambda kt: kt[0])
+    return [t for _, t in kept]
+
+
+def parallel_splits(t, bounds):
+    """All ways to split internal edges of t into parallel parts, in edge
+    order, but the one that splits none; primitive edges included."""
+    options = []
+    for u, w, d in t.internal_edges:
+        p, g = primitive_part(d)
+        options.append((u, w, p, list(enumeration._partitions(g))))
+
+    def rec(idx, acc_edges, extra_genus):
+        if extra_genus > bounds.max_genus:
+            return
+        if idx == len(options):
+            if len(acc_edges) <= bounds.max_internal_edges:
+                yield acc_edges
+            return
+        u, w, p, opts = options[idx]
+        for mu in opts:
+            parts = [(u, w, tuple(m * x for x in p)) for m in mu]
+            yield from rec(idx + 1, acc_edges + parts, extra_genus + len(mu) - 1)
+
+    for edges in rec(0, [], 0):
+        if len(edges) != t.n_internal:
+            yield CurveType.make(t.vertices, edges, t.external_edges)

@@ -2,12 +2,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import enumeration_oracle
+from tropgw import enumeration
 from tropgw.enumeration import (
     ConstraintCycle,
     SearchBounds,
     Stratum,
+    _cheap_reject,
     _partitions,
     _tree_shapes,
     _tree_to_type,
@@ -67,6 +70,21 @@ class TestEnumerate:
         b = enumerate_curve_types(ends, B)
         assert a == b
 
+    def test_partitions(self):
+        assert list(_partitions(0)) == [()]
+        for n in range(1, 9):
+            parts = list(_partitions(n))
+            assert len(set(parts)) == len(parts) == _partition_count(n)
+            assert all(sum(p) == n and list(p) == sorted(p, reverse=True)
+                       for p in parts)
+
+    def test_internal_edge_bound_drops_the_trees(self):
+        # three internal edges on every tree of 6 ends
+        ends = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0),
+                (0, 0, 0)]
+        assert enumerate_curve_types(ends, SearchBounds(2, 5, 0)) == []
+        assert len(enumerate_curve_types(ends, SearchBounds(3, 5, 0))) == 90
+
     def test_bounds_cut_genus(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 4), (0, -1, -4)]
         low = enumerate_curve_types(ends, SearchBounds(max_genus=1))
@@ -78,8 +96,10 @@ class TestEnumerate:
 class TestTreeOracle:
     def test_depth_first_shapes_match_breadth_first(self):
         for n in range(3, 9):
-            assert (list(_tree_shapes(n))
-                    == list(enumeration_oracle.tree_shapes(n)))
+            shapes = list(_tree_shapes(n))
+            assert shapes == list(enumeration_oracle.tree_shapes(n))
+            # the leaf of every end comes first, as _tree_to_type assumes
+            assert all(v > n for edges in shapes for _, v in edges)
 
     def test_rooted_pass_matches_per_edge_sums(self):
         # the end sets of the enumerate benchmark workload and the vertex
@@ -102,6 +122,78 @@ class TestTreeOracle:
                 made += t is not None
                 dropped += t is None
         assert made and dropped
+
+
+@st.composite
+def _balanced_ends(draw):
+    """3 to 7 ends with entries in [-2, 2], up to 2 of them zero; each entry
+    is drawn from the values that still let its coordinate sum to 0."""
+    n = draw(st.integers(3, 7))
+    zeros = draw(st.integers(0, min(2, n - 2)))
+    columns = []
+    for _ in range(3):
+        column, total = [], 0
+        for later in range(n - zeros - 1, 0, -1):
+            x = draw(st.integers(max(-2, -2 * later - total),
+                                 min(2, 2 * later - total)))
+            column.append(x)
+            total += x
+        columns.append(column + [-total])
+    nonzero = list(zip(*columns))
+    assume(all(any(e) for e in nonzero))
+    return draw(st.permutations(nonzero + [(0, 0, 0)] * zeros))
+
+
+class TestGenusZeroLayer:
+    """The enumeration takes every tree that survives _tree_to_type and
+    _cheap_reject as a general type of its own."""
+
+    @given(_balanced_ends())
+    @example([(1, 0, 0), (1, 0, 0), (0, 1, 0), (-2, -1, 0)])
+    @example([(2, 0, 0), (0, 2, 0), (-2, -2, 0), (0, 0, 0), (0, 0, 0)])
+    @example([(1, 0, 0), (-1, 0, 0), (0, 0, 0)])
+    def test_surviving_trees_are_general_and_distinct(self, ends):
+        trees = [t for t in (_tree_to_type(edges, ends)
+                             for edges in _tree_shapes(len(ends)))
+                 if t is not None and not _cheap_reject(t)]
+        genus_zero = SearchBounds(max_genus=0)
+        filtered = enumeration_oracle.enumerate_curve_types(ends, genus_zero)
+        # the filter keeps a tree when it is general and its key is new, so
+        # it keeps them all exactly when every one is general and no two
+        # share a key
+        assert len(filtered) == len(trees)
+        assert enumerate_curve_types(ends, genus_zero) == filtered
+        # 7 ends at the default bounds can split into tens of thousands of
+        # candidates, too many for this test
+        bounds = [B] if len(ends) <= 6 else []
+        if len(ends) <= 5:
+            bounds.append(SearchBounds(5, 1, 1))
+        for b in bounds:
+            assert (enumerate_curve_types(ends, b)
+                    == enumeration_oracle.enumerate_curve_types(ends, b))
+
+    def test_genus_zero_runs_no_rank_test(self, monkeypatch):
+        calls = []
+        real = enumeration._is_general
+
+        def counted(t, blocks):
+            calls.append(t)
+            return real(t, blocks)
+
+        monkeypatch.setattr(enumeration, "_is_general", counted)
+        cp3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+        p1_cubed = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                    (0, 0, -1)]
+        mark = (0, 0, 0)
+        assert len(enumerate_curve_types(
+            cp3 + [mark] * 2, SearchBounds(max_genus=0))) == 90
+        # every internal edge is primitive, so nothing is split
+        assert len(enumerate_curve_types(p1_cubed + [mark] * 2, B)) == 6120
+        assert calls == []
+        # the parallel splits of the doubled rays still pass the rank tests
+        assert len(enumerate_curve_types(
+            [(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), mark], B)) == 60
+        assert calls
 
 
 class TestDisconnected:

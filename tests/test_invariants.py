@@ -273,6 +273,80 @@ class TestLambdaQBridge:
         assert q("p1cubed-110000") == QHalfLaurent.one()
 
 
+def _set_partitions(n: int):
+    """The set partitions of the labels 1..n as lists of blocks: label j
+    joins each block of a partition of 1..j-1 in turn, or opens a new one."""
+    blocks: list[list[int]] = []
+
+    def grow(j):
+        if j > n:
+            yield [list(b) for b in blocks]
+            return
+        for b in blocks:
+            b.append(j)
+            yield from grow(j + 1)
+            b.pop()
+        blocks.append([j])
+        yield from grow(j + 1)
+        blocks.pop()
+
+    yield from grow(1)
+
+
+def _block_sum(ends, cons, seed):
+    """Sum over the set partitions of the labels into balanced blocks whose
+    constraint codimension is their number of ends, of the product of the
+    blocks' connected raw q counts."""
+    total = QHalfLaurent.zero()
+    for blocks in _set_partitions(len(ends)):
+        term = QHalfLaurent.one()
+        for block in blocks:
+            sub = [ends[label - 1] for label in block]
+            if any(sum(e[c] for e in sub) for c in range(3)):
+                break
+            cyc = cycle_from_constraints(sub, {
+                i: cons[label] for i, label in enumerate(block, 1)
+                if label in cons})
+            if cyc.ambient_dim - len(cyc.strata[0].span) != len(sub):
+                break
+            term = term * weighted_count(
+                CountRequest(tuple(sub), cyc, True, "q"), seed=seed).value
+        else:
+            total = total + term
+    return total
+
+
+_Q_ONE_PLUS = (QHalfLaurent.monomial(1, -2) + QHalfLaurent.monomial(2, 0)
+               + QHalfLaurent.monomial(1, 2))
+
+
+class TestDisconnectedOracle:
+    """The raw disconnected q count against its assembly from connected
+    counts of blocks, which shares only the connected weighted_count."""
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("fan,degrees,points,connected,disconnected", [
+        (p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, QHalfLaurent.one(),
+         QHalfLaurent.one()),
+        # all of it from two lines, one through each point
+        (p1_cubed_fan(), [1, 1, 1, 1, 0, 0], 2, QHalfLaurent.zero(),
+         QHalfLaurent.monomial(2, 0)),
+        (cp3_fan(), [1, 1, 1, 1], 2, _Q_ONE_PLUS, _Q_ONE_PLUS),
+    ], ids=["p1cubed-110000", "p1cubed-111100", "cp3-1111"])
+    def test_disconnected_count_is_the_block_sum(
+            self, fan, degrees, points, connected, disconnected, seed):
+        ends, cons = invariants._degree_ends(fan, degrees, points, seed)
+        cyc = cycle_from_constraints(ends, cons)
+
+        def raw(is_connected):
+            return weighted_count(CountRequest(
+                tuple(ends), cyc, is_connected, "q"), seed=seed).value
+
+        assert raw(True) == connected
+        assert raw(False) == disconnected
+        assert _block_sum(ends, cons, seed) == disconnected
+
+
 class TestRobustness:
     def test_seed_invariance_of_counts(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 2), (0, -1, -2)]

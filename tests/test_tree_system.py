@@ -79,16 +79,26 @@ def _sympy_general(t):
 
 
 def _checked_types(monkeypatch):
-    """Record every (type, verdict) that enumerate_curve_types decides."""
+    """Record every (type, verdict) that enumerate_curve_types decides, and
+    every type it returns with the verdict True: it returns the genus-0
+    trees without deciding them."""
     seen = []
     real = enumeration._is_general
+    real_enumerate = enumeration.enumerate_curve_types
 
     def recording(t, blocks):
         verdict = real(t, blocks)
         seen.append((t, verdict))
         return verdict
 
+    def returning(*args, **kwargs):
+        found = real_enumerate(*args, **kwargs)
+        seen.extend((t, True) for t in found)
+        return found
+
     monkeypatch.setattr(enumeration, "_is_general", recording)
+    monkeypatch.setattr(enumeration, "enumerate_curve_types", returning)
+    monkeypatch.setattr(weights, "enumerate_curve_types", returning)
     return seen
 
 
@@ -96,7 +106,7 @@ class TestGeneralityOracle:
     @pytest.mark.parametrize("ends, bounds", ENUMERATE_SETS)
     def test_enumerate_end_sets(self, monkeypatch, ends, bounds):
         seen = _checked_types(monkeypatch)
-        enumerate_curve_types(ends, SearchBounds(*bounds))
+        enumeration.enumerate_curve_types(ends, SearchBounds(*bounds))
         assert seen
         for t, verdict in seen:
             assert verdict == _sympy_general(t), t

@@ -12,7 +12,8 @@ from tropgw import weights
 from tropgw.enumeration import SearchBounds, _partitions, enumerate_curve_types
 from tropgw.exactnum import (LaurentSeries, QHalfLaurent, q_to_lambda,
                              quantum_integer_q, two_sin_half)
-from tropgw.identities import gamma_mu
+from tropgw.identities import (gamma_mu, pluecker_identity_holds,
+                               pluecker_triples, wedge_determines_vertex_weight)
 from tropgw.lattice import InvariantError
 from tropgw.tropcurve import (CurveType, automorphism_count, genus,
                               is_transverse, vertex_star)
@@ -330,6 +331,35 @@ class TestInvariance:
             if n in seen:
                 assert w.agrees(seen[n])
             seen[n] = w
+
+    def test_wedge_determines_every_vertex_weight_in_the_box(self):
+        assert wedge_determines_vertex_weight(K)
+
+
+# the first 12 triples in the order of the six nested coordinate loops
+PLUECKER_TRIPLES = [
+    ((-2, -2, 0), (-1, -2, 0), (0, -1, 0)),
+    ((-2, -2, 0), (0, -2, 0), (1, -2, 0)),
+    ((-2, -2, 0), (0, -2, 0), (1, -1, 0)),
+    ((-2, -2, 0), (0, -2, 0), (1, 0, 0)),
+    ((-2, -2, 0), (0, -1, 0), (1, -2, 0)),
+    ((-2, -2, 0), (0, -1, 0), (1, -1, 0)),
+    ((-2, -2, 0), (0, -1, 0), (1, 0, 0)),
+    ((-2, -2, 0), (1, -2, 0), (1, -1, 0)),
+    ((-2, -2, 0), (1, -2, 0), (1, 0, 0)),
+    ((-2, -2, 0), (1, -2, 0), (2, -2, 0)),
+    ((-2, -2, 0), (1, -2, 0), (2, -1, 0)),
+    ((-2, -2, 0), (1, -2, 0), (2, 0, 0)),
+]
+
+
+class TestPlanarBracketRelation:
+    def test_triples_are_pinned(self):
+        assert pluecker_triples(12) == PLUECKER_TRIPLES
+
+    def test_relation_holds_on_the_triples(self):
+        assert all(pluecker_identity_holds(a, b, c, K)
+                   for a, b, c in PLUECKER_TRIPLES)
 
 
 class TestSubstitutionConsistency:
