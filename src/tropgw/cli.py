@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .enumeration import SearchBounds, _check_constraint, enumerate_curve_types
 from .exactnum import QHalfLaurent
@@ -137,16 +138,19 @@ def cmd_fgamma(args) -> int:
 
 def cmd_count(args) -> int:
     req = _read(args.request, CountRequest.from_json)
-    req = CountRequest(req.ends, req.cycle, req.connected, req.mode,
-                       _bounds_from_args(args, req.bounds))
+    req = replace(req, bounds=_bounds_from_args(args, req.bounds))
     if args.certify:
         res = certified_count(req, args.order, args.seed)
     else:
         res = weighted_count(req, args.order, args.seed)
+    contributions = res.contributions
+    if args.trace and req.mode == "lambda":   # the trace shows series weights
+        contributions = [replace(c, weight=curve_weight(
+            c.ctype, args.order, "lambda", args.seed)) for c in contributions]
     return _emit_value(res.value, args,
                        extra={"certified": res.certified,
                               "attempt": res.attempt},
-                       contributions=res.contributions, bounds=req.bounds)
+                       contributions=contributions, bounds=req.bounds)
 
 
 def _parse_degrees(s: str, n: int) -> list[int]:

@@ -395,14 +395,14 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
     if not connected:
         return _enumerate_disconnected(ends, bounds)
     n = len(ends)
-    if n < 3:   # a vertex with fewer than 3 ends is never general
+    # a vertex needs 3 ends; a connected type with n ends has >= n - 3 edges
+    if n < 3 or n - 3 > bounds.max_internal_edges:
         return []
     trees = [t for t in (_tree_to_type(edges, ends) for edges in _tree_shapes(n))
              if t is not None and not _cheap_reject(t)]
     # each surviving tree is general (see _cheap_reject) and, being fixed by
     # its splits, a type of its own: the key only sorts
-    kept = ({t.canonical_key(): t for t in trees}
-            if n - 3 <= bounds.max_internal_edges else {})
+    kept = {t.canonical_key(): t for t in trees}
     if bounds.max_genus > 0:
         augmented = []
         # extra edges with free bounded derivatives, iterated

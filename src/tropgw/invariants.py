@@ -2,17 +2,17 @@
 
 A weighted count pairs every enumerated general type with every stratum of a
 constraint cycle, keeps the exact rational placements with positive lengths,
-and adds stratum multiplicity times lattice index times curve weight over
-automorphisms.  On top of that sit the absolute invariants of convex toric
-3-folds, their relative variant for a marked subset of rays, and the reduced
-DT generating polynomial obtained from the q-weights of possibly disconnected
-curves.
+and adds stratum multiplicity times lattice index times exact q weight over
+automorphisms; a series count substitutes that q sum once (a ring map, so the
+same as adding substituted weights).  On top of that sit the absolute
+invariants of convex toric 3-folds, their relative variant for a marked subset
+of rays, and the reduced DT polynomial of possibly disconnected curves.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
 from typing import Sequence
@@ -28,7 +28,7 @@ from .enumeration import (
     place_curves,
 )
 from .tropcurve import CurveType, _ints, automorphism_count
-from .weights import curve_weight
+from .weights import _substitute, curve_weight
 
 
 # -- toric fans ----------------------------------------------------------------
@@ -165,7 +165,7 @@ class Contribution:
     stratum_index: int
     lattice_factor: int
     automorphisms: int
-    weight: object
+    weight: QHalfLaurent    # the type's q weight, whatever the count's mode
 
     def to_json(self) -> dict:
         return {"type": self.ctype.to_json(), "stratum": self.stratum_index,
@@ -185,9 +185,11 @@ class CountResult:
 def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:
     """Evaluate the weighted count of constrained general tropical curves.
 
-    place_curves decides a placement that ties at a stratum base by the
-    infinitesimal perturbation of that base, so the count is the one at
-    generic positions arbitrarily close to the given ones.
+    The q weights add up exactly, and a lambda count substitutes the total
+    once; each contribution carries its type's q weight.  place_curves
+    decides a placement that ties at a stratum base by the infinitesimal
+    perturbation of that base, so the count is the one at generic positions
+    arbitrarily close to the given ones.
     """
     n_ends = len(req.ends)
     for i, s in enumerate(req.cycle.strata):
@@ -198,22 +200,21 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
                 f"(the count would not be zero-dimensional)")
     types = enumerate_curve_types(list(req.ends), req.bounds,
                                   connected=req.connected)
-    total = (LaurentSeries.zero(order) if req.mode == "lambda"
-             else QHalfLaurent.zero())
+    total = QHalfLaurent.zero()
     contributions = []
     for t in types:
         placements = place_curves(t, req.cycle)
         if not placements:
             continue
         aut = automorphism_count(t)
-        w = curve_weight(t, order, req.mode, seed)
+        w = curve_weight(t, order, "q", seed)
         for p in placements:
             stratum = req.cycle.strata[p.stratum_index]
-            contrib = w.scale(stratum.multiplicity * p.index)
-            if aut != 1:
-                contrib = contrib.scale(Fraction(1, aut))
-            total = total + contrib
+            total = total + w.scale(
+                Fraction(stratum.multiplicity * p.index, aut))
             contributions.append(Contribution(t, p.stratum_index, p.index, aut, w))
+    if req.mode == "lambda":   # every type has the zero ends as its markers
+        total = _substitute(total, order, sum(not any(e) for e in req.ends))
     return CountResult(total, contributions, req.bounds, 0)
 
 
@@ -224,8 +225,7 @@ def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountR
     wider = SearchBounds(req.bounds.max_internal_edges + 1,
                          req.bounds.max_genus + 1,
                          req.bounds.max_derivative_norm + 1)
-    res2 = weighted_count(CountRequest(req.ends, req.cycle, req.connected,
-                                       req.mode, wider), order, seed)
+    res2 = weighted_count(replace(req, bounds=wider), order, seed)
     # both series are known through x^order exactly, so == is agreement
     res.certified = res.value == res2.value
     return res
@@ -268,18 +268,13 @@ def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int):
 
 
 def _toric_count(degrees: Sequence[int], ends, constraints: dict[int, tuple],
-                 connected: bool, mode: str, order: int, seed: int,
-                 bounds: SearchBounds):
-    """The weighted count of the constrained ends with the per-ray
-    normalization: one power of the series variable (q^(1/2) in q mode) per
-    boundary intersection removed, and a factor 1/d! per ray."""
+                 connected: bool, seed: int, bounds: SearchBounds):
+    """The q count of the constrained ends over the d! of each ray; each
+    caller takes one power of its variable per boundary intersection."""
     cycle = cycle_from_constraints(ends, constraints)
-    req = CountRequest(tuple(ends), cycle, connected, mode, bounds)
-    value = weighted_count(req, order, seed).value
-    scale = Fraction(1, prod(factorial(d) for d in degrees))
-    if mode == "q":
-        return value * QHalfLaurent.monomial(scale, sum(degrees))
-    return value.shift(-sum(degrees)).scale(scale)
+    req = CountRequest(tuple(ends), cycle, connected, "q", bounds)
+    value = weighted_count(req, seed=seed).value
+    return value.scale(Fraction(1, prod(factorial(d) for d in degrees)))
 
 
 def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
@@ -294,8 +289,8 @@ def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
     ends, constraints = _degree_ends(fan, degrees, points, seed)
-    return _toric_count(degrees, ends, constraints, True, "lambda", order,
-                        seed, bounds)
+    raw = _toric_count(degrees, ends, constraints, True, seed, bounds)
+    return _substitute(raw, order, points).shift(-sum(degrees))
 
 
 def relative_invariant(fan: ToricFan, degrees: Sequence[int],
@@ -323,8 +318,9 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     total = tuple(sum(e[c] for e in ends) for c in range(3))
     if total != (0, 0, 0):
         raise ValueError(f"ends with degrees do not balance: {total}")
-    return _toric_count(degrees, ends, constraints, True, "lambda", order,
-                        seed, bounds)
+    raw = _toric_count(degrees, ends, constraints, True, seed, bounds)
+    markers = sum(not any(e) for e in alpha_ends)
+    return _substitute(raw, order, markers).shift(-sum(degrees))
 
 
 def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
@@ -335,8 +331,8 @@ def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
     ends, constraints = _degree_ends(fan, degrees, points, seed)
-    return _toric_count(degrees, ends, constraints, False, "q", order, seed,
-                        bounds)
+    raw = _toric_count(degrees, ends, constraints, False, seed, bounds)
+    return raw * QHalfLaurent.monomial(1, sum(degrees))
 
 
 def derive_line_factor(order: int = 20, seed: int = 0) -> LaurentSeries:
@@ -352,9 +348,7 @@ def derive_line_factor(order: int = 20, seed: int = 0) -> LaurentSeries:
     known = LaurentSeries.monomial(1, -1, order)
     ratio = known * w.inverse()
     # the ratio must be an even monomial; its square root is the factor
-    if ratio.is_zero() or len(ratio.coeffs) != 1 or ratio.low % 2 != 0:
-        raise ValueError(f"unexpected derivation ratio {ratio}")
-    if ratio.coeffs[0] != 1:
+    if ratio.coeffs != (1,) or ratio.low % 2 != 0:
         raise ValueError(f"unexpected derivation ratio {ratio}")
     return LaurentSeries.monomial(1, ratio.low // 2, order)
 

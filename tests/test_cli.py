@@ -9,7 +9,8 @@ import pytest
 
 from tropgw import cli
 from tropgw.enumeration import cycle_from_constraints
-from tropgw.invariants import CountRequest
+from tropgw.invariants import CountRequest, weighted_count
+from tropgw.weights import curve_weight
 
 
 DATA = resources.files("tropgw") / "data"
@@ -118,6 +119,26 @@ class TestCount:
         for c in doc["trace"]:
             assert set(c) >= {"type", "stratum", "index", "aut", "weight"}
 
+    def test_pretty_trace_shows_lambda_weights(self, capsys):
+        # each contribution line shows the type's series weight, although
+        # the count itself adds q weights
+        name = data_path("s3_family3_n3_configB.json")
+        code, out, _ = run(capsys, "count", name, "--order", "8", "--seed",
+                           "0", "--trace", "--format", "pretty")
+        assert code == 0
+        req = cli._read(name, CountRequest.from_json)
+        res = weighted_count(req, 8, 0)
+        lines = out.splitlines()
+        assert lines[0] == repr(res.value)
+        assert f"{len(res.contributions)} contributions:" in lines
+        shown = lines[-len(res.contributions):]
+        assert len(shown) >= 2
+        for c, line in zip(res.contributions, shown):
+            lam = curve_weight(c.ctype, 8, "lambda", 0)
+            assert line == (f"  stratum {c.stratum_index}: index "
+                            f"{c.lattice_factor}, 1/|Aut| = "
+                            f"1/{c.automorphisms}, weight {lam!r}")
+
     def test_request_bounds_hold_unless_overridden(self, tmp_path, capsys):
         # with no internal edge allowed the family-1 count has no type
         doc = json.loads((DATA / "s3_family1_configA.json").read_text())
@@ -170,6 +191,15 @@ class TestToricCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["value"]["coefficients"][0] == [1, 1]
+
+    def test_class_past_the_edge_bound_counts_nothing(self, capsys):
+        # 18 ends need 15 internal edges, past the default bound of 8, so
+        # the count is the zero series without a tree shape built
+        code, out, _ = run(capsys, "absolute", data_path("cp3.json"),
+                           "--degrees", "3", "--points", "6",
+                           "--order", "8", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["value"]["coefficients"] == []
 
     def test_bad_degree_count_is_exit_2(self, capsys):
         code, _, err = run(capsys, "absolute", data_path("cp3.json"),

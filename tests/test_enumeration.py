@@ -78,12 +78,22 @@ class TestEnumerate:
             assert all(sum(p) == n and list(p) == sorted(p, reverse=True)
                        for p in parts)
 
-    def test_internal_edge_bound_drops_the_trees(self):
+    def test_internal_edge_bound_drops_the_trees(self, monkeypatch):
         # three internal edges on every tree of 6 ends
         ends = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (0, 0, 0),
                 (0, 0, 0)]
         assert enumerate_curve_types(ends, SearchBounds(2, 5, 0)) == []
         assert len(enumerate_curve_types(ends, SearchBounds(3, 5, 0))) == 90
+
+        # a connected type with n ends has at least n - 3 internal edges,
+        # so past the bound no tree shape is generated at all
+        def no_shapes(n):
+            raise AssertionError(f"tree shapes of {n} ends generated")
+
+        monkeypatch.setattr(enumeration, "_tree_shapes", no_shapes)
+        assert enumerate_curve_types(ends, SearchBounds(2, 5, 0)) == []
+        doubled = ends[:4] * 2 + [(0, 0, 0)]
+        assert enumerate_curve_types(doubled, SearchBounds(4, 5, 0)) == []
 
     def test_bounds_cut_genus(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 4), (0, -1, -4)]

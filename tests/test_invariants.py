@@ -230,18 +230,25 @@ class TestReducedDT:
 
 def _bridge_cases() -> dict:
     """name -> (request, k): the bundled count requests, whose ends carry no
-    marker, and two toric degree classes with k point markers."""
+    marker, and toric degree classes with k point markers, connected and
+    disconnected."""
     data = resources.files("tropgw") / "data"
     cases = {name: (CountRequest.from_json(
                 json.loads((data / f"{name}.json").read_text())), 0)
              for name in ("s3_family1_configA", "s3_family1_configB",
                           "s3_family3_n3_configA", "s3_family3_n3_configB")}
-    for name, fan, degrees, points in (
-            ("cp3-1111", cp3_fan(), [1, 1, 1, 1], 2),
-            ("p1cubed-110000", p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1)):
+    for name, fan, degrees, points, connected in (
+            ("cp3-1111", cp3_fan(), [1, 1, 1, 1], 2, True),
+            ("p1cubed-110000", p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, True),
+            ("cp3-1111-disconnected", cp3_fan(), [1, 1, 1, 1], 2, False),
+            ("p1cubed-220000-disconnected", p1_cubed_fan(),
+             [2, 2, 0, 0, 0, 0], 2, False),
+            ("p1cubed-111100-disconnected", p1_cubed_fan(),
+             [1, 1, 1, 1, 0, 0], 2, False)):
         ends, cons = invariants._degree_ends(fan, degrees, points, 0)
         cases[name] = (CountRequest(
-            tuple(ends), cycle_from_constraints(ends, cons)), points)
+            tuple(ends), cycle_from_constraints(ends, cons), connected),
+            points)
     return cases
 
 
@@ -271,6 +278,19 @@ class TestLambdaQBridge:
                                  + QHalfLaurent.monomial(2, 0)
                                  + QHalfLaurent.monomial(1, 2))
         assert q("p1cubed-110000") == QHalfLaurent.one()
+
+    @pytest.mark.parametrize("order", (1, 20))
+    def test_empty_count_with_markers_is_zero(self, order):
+        # no type of 6 ends fits without an internal edge; at order 1 the
+        # k = 2 markers lie past the known range, at order 20 the
+        # substitution sees the zero q count
+        req, k = BRIDGE_CASES["cp3-1111"]
+        req = replace(req, bounds=SearchBounds(0, 0, 0))
+        assert k == 2
+        assert (weighted_count(replace(req, mode="lambda"), order).value
+                == LaurentSeries.zero(order))
+        assert (weighted_count(replace(req, mode="q"), order).value
+                == QHalfLaurent.zero())
 
 
 def _set_partitions(n: int):

@@ -39,6 +39,19 @@ def test_cli_import_loads_only_the_standard_library():
     assert foreign == []
 
 
+def test_counts_request_only_q_weights():
+    # counts add exact q weights and substitute the total once; a series
+    # weight per placed type would be a second ring beside it
+    tree = ast.parse((SRC / "invariants.py").read_text())
+    modes = [node.args[2].value if len(node.args) > 2
+             and isinstance(node.args[2], ast.Constant) else None
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None))
+             == "curve_weight"]
+    assert modes and set(modes) == {"q"}
+
+
 def test_weights_name_no_sine_closed_form():
     # the series weight is the substituted q weight; a sine closed form in
     # weights would be a second evaluator beside it
