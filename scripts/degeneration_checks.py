@@ -12,12 +12,12 @@ from tropgw.enumeration import SearchBounds, cycle_from_constraints
 from tropgw.invariants import CountRequest, weighted_count
 
 
-def run(ends, configs, order, seed):
+def run(ends, configs, order):
     results = []
     for cons in configs:
         cyc = cycle_from_constraints(ends, cons)
         req = CountRequest(tuple(ends), cyc, True, "lambda", SearchBounds())
-        results.append(weighted_count(req, order, seed))
+        results.append(weighted_count(req, order))
     return results
 
 
@@ -30,7 +30,6 @@ def describe(res):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--order", type=int, default=14)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-n", type=int, default=4)
     args = ap.parse_args()
 
@@ -52,7 +51,7 @@ def main():
              {1: ("point", (0, 0, 1)), 2: ("point", (0, 0, -1))}]))
 
     for name, ends, configs in families:
-        ra, rb = run(ends, configs, args.order, args.seed)
+        ra, rb = run(ends, configs, args.order)
         ok = ra.value.agrees(rb.value)
         print(f"{name}: agree={ok}")
         print(f"    config A: {describe(ra)}")

@@ -2,8 +2,8 @@
 """Tabulate the loop-family weights against their closed form.
 
 For every partition mu with |mu| <= N, run the full pipeline (enumerate the
-four-end family, pick out the loop type, resolve it with a seeded shift) and
-compare with (1/lcm(mu)) prod [mu_i]^2 / mu_i.  Prints the leading
+four-end family, pick out the loop type, resolve it at the eps-moved zero
+shift) and compare with (1/lcm(mu)) prod [mu_i]^2 / mu_i.  Prints the leading
 coefficients and a match flag per partition.
 """
 
@@ -20,7 +20,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--max-total", type=int, default=6)
     ap.add_argument("--order", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     bounds = SearchBounds()
@@ -32,7 +31,7 @@ def main():
             target = gamma_mu(total, mu)
             match = [t for t in types if are_isomorphic(t, target)]
             assert len(match) == 1
-            w = curve_weight(match[0], args.order, "lambda", args.seed)
+            w = curve_weight(match[0], args.order, "lambda")
             expect = expected_gamma_mu_weight(mu, args.order)
             lead = w.coeff(w.low) if not w.is_zero() else 0
             print(f"mu={str(mu):18s} low=x^{w.low:<3d} lead={lead}  "

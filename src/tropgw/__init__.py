@@ -9,7 +9,7 @@ from .tropcurve import (CurveType, automorphism_count, genus, is_general,
 from .enumeration import (ConstraintCycle, Placement, SearchBounds, Stratum,
                           cycle_from_constraints, enumerate_curve_types,
                           place_curves)
-from .weights import (curve_weight, resolve_with_shifts, sample_shifts,
+from .weights import (curve_weight, resolve_with_shifts,
                       substitution_consistent, vertex_qpoly, vertex_series)
 from .invariants import (CountRequest, ToricFan, absolute_invariant,
                          certified_count, cp3_fan, derive_line_factor,

@@ -129,10 +129,10 @@ def _emit_value(value, args, extra=None, contributions=None, bounds=None):
 
 def cmd_fgamma(args) -> int:
     t = _read(args.type, CurveType.from_json)
-    w = curve_weight(t, args.order, args.mode, args.seed)
+    w = curve_weight(t, args.order, args.mode)
     extra = None
     if args.trace:
-        extra = {"derivation": weight_trace(t, args.seed)}
+        extra = {"derivation": weight_trace(t)}
     return _emit_value(w, args, extra=extra)
 
 
@@ -140,13 +140,13 @@ def cmd_count(args) -> int:
     req = _read(args.request, CountRequest.from_json)
     req = replace(req, bounds=_bounds_from_args(args, req.bounds))
     if args.certify:
-        res = certified_count(req, args.order, args.seed)
+        res = certified_count(req, args.order)
     else:
-        res = weighted_count(req, args.order, args.seed)
+        res = weighted_count(req, args.order)
     contributions = res.contributions
     if args.trace and req.mode == "lambda":   # the trace shows series weights
         contributions = [replace(c, weight=curve_weight(
-            c.ctype, args.order, "lambda", args.seed)) for c in contributions]
+            c.ctype, args.order, "lambda")) for c in contributions]
     return _emit_value(res.value, args,
                        extra={"certified": res.certified,
                               "attempt": res.attempt},
@@ -176,7 +176,7 @@ def cmd_absolute(args) -> int:
 def cmd_relative(args) -> int:
     fan, degrees, alpha_ends, constraints = _read(args.request, _relative)
     value = relative_invariant(fan, degrees, alpha_ends, constraints,
-                               args.order, args.seed, _bounds_from_args(args))
+                               args.order, _bounds_from_args(args))
     return _emit_value(value, args)
 
 

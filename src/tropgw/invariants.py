@@ -182,7 +182,7 @@ class CountResult:
     certified: bool | None = None
 
 
-def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:
+def weighted_count(req: CountRequest, order: int = 20) -> CountResult:
     """Evaluate the weighted count of constrained general tropical curves.
 
     The q weights add up exactly, and a lambda count substitutes the total
@@ -207,7 +207,7 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
         if not placements:
             continue
         aut = automorphism_count(t)
-        w = curve_weight(t, order, "q", seed)
+        w = curve_weight(t, order, "q")
         for p in placements:
             stratum = req.cycle.strata[p.stratum_index]
             total = total + w.scale(
@@ -218,14 +218,14 @@ def weighted_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountRe
     return CountResult(total, contributions, req.bounds, 0)
 
 
-def certified_count(req: CountRequest, order: int = 20, seed: int = 0) -> CountResult:
+def certified_count(req: CountRequest, order: int = 20) -> CountResult:
     """Run the count at the stated bounds and again with every bound one
     notch wider; the result is certified when both agree."""
-    res = weighted_count(req, order, seed)
+    res = weighted_count(req, order)
     wider = SearchBounds(req.bounds.max_internal_edges + 1,
                          req.bounds.max_genus + 1,
                          req.bounds.max_derivative_norm + 1)
-    res2 = weighted_count(replace(req, bounds=wider), order, seed)
+    res2 = weighted_count(replace(req, bounds=wider), order)
     # both series are known through x^order exactly, so == is agreement
     res.certified = res.value == res2.value
     return res
@@ -250,30 +250,49 @@ def _check_degrees(fan: ToricFan, degrees: Sequence[int]):
         raise ValueError("degrees must be non-negative")
 
 
-def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int):
+def _class_total(fan: ToricFan, degrees: Sequence[int], extra=()):
+    """The sum of d_i times ray i and of the extra ends, without listing the
+    d_i copies."""
+    return tuple(sum(d * r[c] for r, d in zip(fan.rays, degrees))
+                 + sum(e[c] for e in extra) for c in range(3))
+
+
+def _past_edge_bound(n_ends: int, bounds: SearchBounds) -> bool:
+    """Whether every connected type with n_ends ends has more internal edges
+    than bounds allow (it has at least n_ends - 3), so the connected count
+    is zero: the value enumerate_curve_types' early return gives."""
+    return n_ends - 3 > bounds.max_internal_edges
+
+
+def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int,
+                 bounds: SearchBounds | None = None):
     """The ends of a degree class, d_i copies of ray i, followed by one marker
-    end per point, and the seeded point constraints on the markers."""
+    end per point, and the seeded point constraints on the markers.  Given
+    bounds, None in place of both when the connected count is zero by
+    _past_edge_bound, before any end is listed."""
     _check_degrees(fan, degrees)
     if type(points) is not int or points < 0:
         raise ValueError(f"points must be a non-negative integer, got {points!r}")
     if all(d == 0 for d in degrees):
         raise ValueError("the zero class is excluded")
-    ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
-    total = tuple(sum(e[c] for e in ends) for c in range(3))
+    total = _class_total(fan, degrees)
     if total != (0, 0, 0):
         raise ValueError(f"degrees do not balance: {total}")
+    if bounds is not None and _past_edge_bound(sum(degrees) + points, bounds):
+        return None
+    ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
     constraints = {len(ends) + j + 1: ("point", _seeded_point(seed, j))
                    for j in range(points)}
     return ends + [(0, 0, 0)] * points, constraints
 
 
 def _toric_count(degrees: Sequence[int], ends, constraints: dict[int, tuple],
-                 connected: bool, seed: int, bounds: SearchBounds):
+                 connected: bool, bounds: SearchBounds):
     """The q count of the constrained ends over the d! of each ray; each
     caller takes one power of its variable per boundary intersection."""
     cycle = cycle_from_constraints(ends, constraints)
     req = CountRequest(tuple(ends), cycle, connected, "q", bounds)
-    value = weighted_count(req, seed=seed).value
+    value = weighted_count(req).value
     return value.scale(Fraction(1, prod(factorial(d) for d in degrees)))
 
 
@@ -288,15 +307,16 @@ def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
     """
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
-    ends, constraints = _degree_ends(fan, degrees, points, seed)
-    raw = _toric_count(degrees, ends, constraints, True, seed, bounds)
+    found = _degree_ends(fan, degrees, points, seed, bounds)
+    raw = (QHalfLaurent.zero() if found is None
+           else _toric_count(degrees, *found, True, bounds))
     return _substitute(raw, order, points).shift(-sum(degrees))
 
 
 def relative_invariant(fan: ToricFan, degrees: Sequence[int],
                        alpha_ends: Sequence[tuple[int, int, int]],
                        constraints: dict[int, tuple],
-                       order: int = 20, seed: int = 0,
+                       order: int = 20,
                        bounds: SearchBounds = SearchBounds()) -> LaurentSeries:
     """Invariants relative to the non-special boundary: extra labeled ends are
     kept, while special boundary intersections are summed out with the same
@@ -312,13 +332,16 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     for i, d in enumerate(degrees):
         if d > 0 and i not in fan.special:
             raise ValueError("positive degree on a non-special ray")
-    ends = list(alpha_ends)
-    for i, d in enumerate(degrees):
-        ends.extend([fan.rays[i]] * d)
-    total = tuple(sum(e[c] for e in ends) for c in range(3))
+    total = _class_total(fan, degrees, alpha_ends)
     if total != (0, 0, 0):
         raise ValueError(f"ends with degrees do not balance: {total}")
-    raw = _toric_count(degrees, ends, constraints, True, seed, bounds)
+    if _past_edge_bound(len(alpha_ends) + sum(degrees), bounds):
+        raw = QHalfLaurent.zero()
+    else:
+        ends = list(alpha_ends)
+        for r, d in zip(fan.rays, degrees):
+            ends.extend([r] * d)
+        raw = _toric_count(degrees, ends, constraints, True, bounds)
     markers = sum(not any(e) for e in alpha_ends)
     return _substitute(raw, order, markers).shift(-sum(degrees))
 
@@ -330,8 +353,10 @@ def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
     disconnected curves with no end-free components, times q^(d/2)/d! per ray."""
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
+    # no early zero: the components of a disconnected type can each fit the
+    # edge bound that the whole class exceeds
     ends, constraints = _degree_ends(fan, degrees, points, seed)
-    raw = _toric_count(degrees, ends, constraints, False, seed, bounds)
+    raw = _toric_count(degrees, ends, constraints, False, bounds)
     return raw * QHalfLaurent.monomial(1, sum(degrees))
 
 

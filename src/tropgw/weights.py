@@ -1,32 +1,30 @@
 """Curve weights: the generating-function value attached to a general type.
 
 A transverse type factors as its multiplicity times one closed-form weight
-per trivalent vertex.  A non-transverse type is resolved by shifting each
-internal edge's matching equation by a seeded integral vector s and summing
-over the combinatorial types of resolutions: per vertex a general replacement
-curve with matching outgoing derivatives, glued by signed connector lengths.
-A sign test that ties at s is decided at s + eps e_1 + eps^2 e_2 + ... over
-the raw shift coordinates, so every shift acts as a generic one.  Each
-solvable resolution contributes the lattice index of its glued rows, built
-once per wiring, times the product of its vertex-curve weights; the total is
-independent of the shift, which the test suite checks across seeds.
+per trivalent vertex.  A non-transverse type is resolved at the zero shift
+of each internal edge's matching equation, summing over the combinatorial
+types of resolutions: per vertex a general replacement curve with matching
+outgoing derivatives, glued by signed connector lengths.  Every sign test
+ties there and is decided at eps e_1 + eps^2 e_2 + ... over the shift
+coordinates in base-edge order, the one genericity rule the placements use
+too, so the zero shift acts as a generic one.  Each solvable resolution
+contributes the lattice index of its glued rows, built once per wiring,
+times the product of its vertex-curve weights; the test suite checks the
+total against resolutions at arbitrary shifts.
 
-Each (type, seed) has one memoized derivation record holding that data,
-which weight_trace prints, and the exact q weight, evaluated as the record
-is built.  The series weight is that q weight at q^(1/2) = i e^(i x/2),
-times x per zero-derivative end.
+Each type has one memoized derivation record holding that data, which
+weight_trace prints, and the exact q weight, evaluated as the record is
+built.  The series weight is that q weight at q^(1/2) = i e^(i x/2), times
+x per zero-derivative end.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import gcd
 from operator import mul
-from typing import Sequence
 
 from .exactnum import (
     LaurentSeries,
@@ -57,9 +55,6 @@ from .tropcurve import (
 
 class UnsupportedVertex(ValueError):
     """A vertex weight the source material does not define (refused, not guessed)."""
-
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 # -- vertex closed forms -------------------------------------------------------
@@ -110,21 +105,6 @@ def _substitute(w: QHalfLaurent, top: int, k: int) -> LaurentSeries:
     return sub.shift(k)
 
 
-# -- shift sampling ------------------------------------------------------------
-
-
-def sample_shifts(t: CurveType, seed: int) -> tuple[tuple[int, int, int], ...]:
-    """Deterministic integral shift per internal edge, scaled by distinct primes."""
-    out = []
-    for i in range(t.n_internal):
-        # the fixed 0 field keeps the draw, and so the trace, of every seed
-        rng = random.Random(f"shift:{seed}:0:{i}")
-        p = _SMALL_PRIMES[i % len(_SMALL_PRIMES)]
-        v = tuple(rng.randint(-3, 3) for _ in range(3))
-        out.append(tuple(p * x for x in v))
-    return tuple(out)
-
-
 # -- resolutions ---------------------------------------------------------------
 
 
@@ -136,13 +116,10 @@ class Resolution:
     index: int                            # lattice index of the glued system
 
 
-def resolve_with_shifts(t: CurveType, shifts) -> list[Resolution]:
-    """All solvable resolutions of t for the shift assignment moved by
-    the infinitesimal tie-break of the module docstring.
-
-    Any integral shift is accepted, the zero shift included: a tie at the
-    given shift is decided by the perturbation, so the result is that of a
-    generic shift arbitrarily close to it.
+def resolve_with_shifts(t: CurveType) -> list[Resolution]:
+    """All solvable resolutions of t at the zero shift moved by the
+    infinitesimal tie-break of the module docstring, so the result is that
+    of a generic shift arbitrarily close to zero.
 
     Candidates per vertex are general types on the vertex's outgoing
     derivatives; the glued linear system for a candidate tuple asks, per
@@ -159,11 +136,10 @@ def resolve_with_shifts(t: CurveType, shifts) -> list[Resolution]:
         for v in t.vertices]
 
     solver = _ResolutionSolver(t, stars)
-    pshifts = solver.projected_shifts(shifts)
     out = []
     for assign in product(*groups):
         reps, cands, invs = zip(*assign)
-        index = solver.classify(reps, invs, pshifts)
+        index = solver.classify(reps, invs)
         if index is not None:
             out.append(Resolution(cands, index))
     return out
@@ -200,18 +176,19 @@ class _ResolutionSolver:
     The matrix of a candidate tuple depends only on the replacement shapes
     and on which slot of each replacement every internal edge attaches to.
     Assignments sharing that data up to a renaming of the base edges share
-    rank, index and feasibility conditions; only the shift vector permutes.
+    rank, index and feasibility conditions; only the base order of the
+    edges, which decides every sign test at the eps-moved zero shift,
+    permutes.
 
     The glued rows of a wiring are built once and kept with its entry.  The
     connector length of an edge with derivative d is eliminated by the
     integral projection killing d, shrinking each edge's block from 3 rows
-    to 2; existence with positive replacement lengths, its sign tests, and
-    the projected shift all live in the reduced system.  The lattice index
-    of the kept rows is only computed for wirings that actually contribute.
+    to 2; existence with positive replacement lengths and its sign tests
+    live in the reduced system.  The lattice index of the kept rows is only
+    computed for wirings that actually contribute.
     """
 
     def __init__(self, t: CurveType, stars):
-        self.t = t
         self.cache: dict = {}
         self.forms: dict = {}   # id(rep) -> _lattice_forms(rep)
         self.proj = {d: quotient_projection(d) for _, _, d in t.internal_edges}
@@ -230,15 +207,11 @@ class _ResolutionSolver:
         return [(ai, bi, invs[ai][sa - 1], invs[bi][sb - 1], d)
                 for ai, bi, sa, sb, d in self.edge_info]
 
-    def projected_shifts(self, shifts):
-        return [[sum(p * x for p, x in zip(row, shifts[ei]))
-                 for row in self.proj[d]]
-                for ei, (_, _, d) in enumerate(self.t.internal_edges)]
-
-    def classify(self, reps, invs, pshifts) -> int | None:
+    def classify(self, reps, invs) -> int | None:
         """The lattice index of a solvable assignment, None for a discard.
-        A certificate row vanishing at the shift takes its sign at the
-        eps-moved shift (_tie_sign); a zero row has none and discards."""
+        A certificate row takes its sign at the eps-moved zero shift: that
+        of its nonzero block on the lowest base edge; a row with no nonzero
+        block has none and discards."""
         wires = self._wiring(invs)
         order = sorted(range(len(wires)), key=lambda i: wires[i])
         key = (tuple(id(r) for r in reps), tuple(wires[i] for i in order))
@@ -248,14 +221,9 @@ class _ResolutionSolver:
                 reps, [wires[i] for i in order])
         if entry[1] is None:
             return None
-        # projected shift vector in the solved system's edge order
-        shift_vec = [x for i in order for x in pshifts[i]]
-        for row, pulled in entry[1]:
-            v = 0
-            for a, s in zip(row, shift_vec):
-                if a:
-                    v += a * s
-            if v < 0 or v == 0 and _tie_sign(pulled, order) <= 0:
+        # order[e] is the base index of the solved system's edge e
+        for pairs in entry[1]:
+            if not pairs or min(pairs, key=lambda p: order[p[0]])[1] < 0:
                 return None
         if entry[0] is None:
             entry[0] = lattice_index(entry[2])
@@ -294,10 +262,13 @@ class _ResolutionSolver:
         return rows, length_cols
 
     def _solve(self, reps, wires):
-        """[index or None, [(certificate row, pulled-back row)] or None if
-        rank-deficient, glued rows]: a left null vector w != 0 pulls back
-        through the rank-2 projections to a nonzero row, so w never vanishes
-        on the eps-moved shift and the system is never solvable there."""
+        """[index or None, per certificate row its (edge, sign) pairs or
+        None if rank-deficient, glued rows].  The pairs name the solved
+        edges whose block of the row, pulled back through the edge's
+        projection to the 3 shift coordinates, is nonzero, each with the
+        sign of the block's first nonzero entry.  A left null vector w != 0
+        pulls back to a nonzero row in the same way, so w never vanishes on
+        the eps-moved shift and the system is never solvable there."""
         k = len(wires)
         glued, length_cols = self._glue(reps, wires)
         if not k:
@@ -308,7 +279,7 @@ class _ResolutionSolver:
                  for col in zip(*(r[k:] for r in glued[3 * e:3 * e + 3]))]
                 for e, proj in enumerate(projs) for prow in proj]
         # every solution and null vector below is scaled by the same den > 0,
-        # which the sign tests and the primitive rows do not see
+        # which the sign tests do not see
         rhs_cols = [[1 if i == j else 0 for i in range(2 * k)]
                     for j in range(2 * k)]
         sol = solve_integral(rows, rhs_cols)
@@ -321,19 +292,20 @@ class _ResolutionSolver:
         ln = [[nc[i] for nc in null] for i in length_cols]
         conds = positive_combinations(ln)
         ls = [[sc[i] for sc in s_cols] for i in length_cols]
-        g_rows = []
-        seen = set()
+        certs = {}
         for c in conds:
-            row = _int_row([sum(ci * ls[i][j] for i, ci in enumerate(c))
-                            for j in range(2 * k)])
-            if row not in seen:
-                seen.add(row)
+            row = [sum(ci * ls[i][j] for i, ci in enumerate(c))
+                   for j in range(2 * k)]
+            pairs = []
+            for e, (pr0, pr1) in enumerate(projs):
                 # row . (P_e x) = (row_e P_e) . x per edge block
-                pulled = [row[2 * e] * p0 + row[2 * e + 1] * p1
-                          for e, (pr0, pr1) in enumerate(projs)
-                          for p0, p1 in zip(pr0, pr1)]
-                g_rows.append((row, pulled))
-        return [None, g_rows, glued]
+                block = [row[2 * e] * p0 + row[2 * e + 1] * p1
+                         for p0, p1 in zip(pr0, pr1)]
+                x = next((x for x in block if x), 0)
+                if x:
+                    pairs.append((e, 1 if x > 0 else -1))
+            certs[tuple(pairs)] = None
+        return [None, list(certs), glued]
 
 
 def _lattice_forms(r: CurveType):
@@ -348,28 +320,12 @@ def _lattice_forms(r: CurveType):
     return ncols, at, range(n_roots, ncols)
 
 
-def _tie_sign(pulled: Sequence[int], order: Sequence[int]) -> int:
-    """Sign of the first nonzero coefficient of a pulled-back row (3 entries
-    per edge, edges in solved order) read in base-edge order; 0 if none."""
-    for e in sorted(range(len(order)), key=order.__getitem__):
-        for x in pulled[3 * e:3 * e + 3]:
-            if x:
-                return 1 if x > 0 else -1
-    return 0
-
-
-def _int_row(row: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer row by the gcd of its entries."""
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
 # -- the gluing recursion ------------------------------------------------------
 
 
 @dataclass
 class _Derivation:
-    """What a (type, seed) weight is made of, found once for every query.
+    """What the weight of a type is made of, found once for every query.
 
     kind "disconnected": parts are the component types.  "transverse": the
     multiplicity and, as parts, the vertex wedges (_wedge) in vertex order.
@@ -391,18 +347,18 @@ def clear_caches():
     _DERIVATIONS.clear()
 
 
-def _derivation(t: CurveType, seed: int) -> _Derivation:
-    """The memoized derivation of t for the seeded shift.  The replacement
-    curves of a resolution have genus 0, so they are transverse and the
-    recursion stops one level down."""
-    key = (t.canonical_key(), seed)
+def _derivation(t: CurveType) -> _Derivation:
+    """The memoized derivation of t.  The replacement curves of a resolution
+    have genus 0, so they are transverse and the recursion stops one level
+    down."""
+    key = t.canonical_key()
     rec = _DERIVATIONS.get(key)
     if rec is not None:
         return rec
     comps = t.component_types()
     if len(comps) > 1:
         rec = _Derivation("disconnected", tuple(comps), reduce(
-            mul, (_derivation(c, seed).weight for c in comps)))
+            mul, (_derivation(c).weight for c in comps)))
     elif not is_general(t):
         raise ValueError("curve weights are defined for general curves only")
     elif is_transverse(t):
@@ -412,10 +368,10 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
             mul, map(_vertex_weight, wedges), QHalfLaurent.one().scale(m)), m)
     else:
         parts = tuple((r.index, r.vertex_types)
-                      for r in resolve_with_shifts(t, sample_shifts(t, seed)))
+                      for r in resolve_with_shifts(t))
         w = QHalfLaurent.zero()
         for index, curves in parts:
-            w = w + reduce(mul, (_derivation(c, seed).weight for c in curves),
+            w = w + reduce(mul, (_derivation(c).weight for c in curves),
                            QHalfLaurent.one().scale(index))
         rec = _Derivation("resolved", parts, w)
     _DERIVATIONS[key] = rec
@@ -424,46 +380,50 @@ def _derivation(t: CurveType, seed: int) -> _Derivation:
 
 def curve_weight(t: CurveType, order: int, mode: str, seed: int = 0):
     """Weight of a general curve type: multiplicity times the vertex weights
-    if transverse, else the sum over shift resolutions of index times the
+    if transverse, else the sum over its resolutions of index times the
     replacement weights, evaluated recursively on the q side.  The series
     weight is known through x^order, or through x^(order + vertices - 1) if
-    transverse."""
+    transverse.
+
+    seed is unused: no weight depends on one.  It is kept only because the
+    loop_family workload of perfbench/workloads.py passes it positionally."""
     if mode not in ("lambda", "q"):
         raise ValueError(f"unknown mode {mode!r}")
-    rec = _derivation(t, seed)
+    rec = _derivation(t)
     if mode == "q":
         return rec.weight
     if rec.kind == "disconnected":
-        return reduce(mul, (curve_weight(c, order, mode, seed)
-                            for c in rec.parts))
+        return reduce(mul, (curve_weight(c, order, mode) for c in rec.parts))
     top = order + t.n_vertices - 1 if rec.kind == "transverse" else order
     return _substitute(rec.weight, top, t.zero_end_count())
 
 
-def weight_trace(t: CurveType, seed: int = 0) -> dict:
+def weight_trace(t: CurveType) -> dict:
     """The derivation of curve_weight as a tree: components, or multiplicity
     and vertex wedges, or the resolutions with their indices.
 
     It reads the record the weight was evaluated from, so it is cheap to
     emit after a weight query.
     """
-    rec = _derivation(t, seed)
+    rec = _derivation(t)
     node: dict = {"ends": [list(d) for _, d, _ in
                            sorted(t.external_edges, key=lambda e: e[2])],
                   "internal_edges": t.n_internal, "kind": rec.kind}
     if rec.kind == "disconnected":
-        node["components"] = [weight_trace(c, seed) for c in rec.parts]
+        node["components"] = [weight_trace(c) for c in rec.parts]
     elif rec.kind == "transverse":
         node.update(multiplicity=rec.multiplicity, vertex_wedges=list(rec.parts))
     else:
         node["resolutions"] = [{
             "index": index,
-            "vertex_curves": [weight_trace(p, seed) for p in parts],
+            "vertex_curves": [weight_trace(p) for p in parts],
         } for index, parts in rec.parts]
     return node
 
 
 def substitution_consistent(t: CurveType, order: int, seed: int = 0) -> bool:
     """Whether the q weight substituted at q^(1/2) = i e^(i x/2) is a real
-    series through x^order, as the series weight derived from it must be."""
-    return q_to_lambda(curve_weight(t, order, "q", seed), order)[1]
+    series through x^order, as the series weight derived from it must be.
+
+    seed is unused, and kept only for the same caller as curve_weight's."""
+    return q_to_lambda(curve_weight(t, order, "q"), order)[1]

@@ -22,18 +22,18 @@ def _vertex(n, order: int) -> LaurentSeries:
     return two_sin_half(n, order).scale(Fraction(1, n))
 
 
-def weight(t: CurveType, order: int, seed: int = 0, _memo=None) -> LaurentSeries:
+def weight(t: CurveType, order: int, _memo=None) -> LaurentSeries:
     """The series weight of t through the given order, from the records of
-    weights._derivation at the given shift seed."""
+    weights._derivation."""
     memo = {} if _memo is None else _memo
-    rec = weights._derivation(t, seed)
+    rec = weights._derivation(t)
     if id(rec) in memo:
         return memo[id(rec)]
     one = LaurentSeries.one(order)
     if rec.kind == "disconnected":
         w = None
         for c in rec.parts:
-            cw = weight(c, order, seed, memo)
+            cw = weight(c, order, memo)
             w = cw if w is None else w * cw
     elif rec.kind == "transverse":
         w = one.scale(rec.multiplicity)
@@ -44,7 +44,7 @@ def weight(t: CurveType, order: int, seed: int = 0, _memo=None) -> LaurentSeries
         for index, parts in rec.parts:
             prod = one.scale(index)
             for part in parts:
-                prod = prod * weight(part, order, seed, memo)
+                prod = prod * weight(part, order, memo)
             w = w + prod
     memo[id(rec)] = w
     return w

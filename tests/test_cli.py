@@ -127,14 +127,14 @@ class TestCount:
                            "0", "--trace", "--format", "pretty")
         assert code == 0
         req = cli._read(name, CountRequest.from_json)
-        res = weighted_count(req, 8, 0)
+        res = weighted_count(req, 8)
         lines = out.splitlines()
         assert lines[0] == repr(res.value)
         assert f"{len(res.contributions)} contributions:" in lines
         shown = lines[-len(res.contributions):]
         assert len(shown) >= 2
         for c, line in zip(res.contributions, shown):
-            lam = curve_weight(c.ctype, 8, "lambda", 0)
+            lam = curve_weight(c.ctype, 8, "lambda")
             assert line == (f"  stratum {c.stratum_index}: index "
                             f"{c.lattice_factor}, 1/|Aut| = "
                             f"1/{c.automorphisms}, weight {lam!r}")
@@ -200,6 +200,25 @@ class TestToricCommands:
                            "--order", "8", "--format", "json")
         assert code == 0
         assert json.loads(out)["value"]["coefficients"] == []
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_huge_relative_class(self, tmp_path, capsys, top):
+        # a degree of 10^30 per ray is checked for balance without listing
+        # its ends; the balanced class is past the edge bound and counts
+        # nothing, the unbalanced one is refused
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["degrees"] = [10 ** 30] * 3 + [10 ** 30 + top]
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f), "--format", "json")
+        if top:
+            assert code == 2
+            assert "do not balance" in err
+        else:
+            assert code == 0
+            value = json.loads(out)["value"]
+            assert value["coefficients"] == []
+            assert value["truncation_order"] == 20 - 4 * 10 ** 30
 
     def test_bad_degree_count_is_exit_2(self, capsys):
         code, _, err = run(capsys, "absolute", data_path("cp3.json"),

@@ -1,12 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from tropgw import invariants
+import shift_oracle
+from tropgw import invariants, weights
 from tropgw.enumeration import SearchBounds, cycle_from_constraints
 from tropgw.exactnum import LaurentSeries, QHalfLaurent, q_to_lambda, two_sin_half
 from tropgw.invariants import (
@@ -28,11 +33,10 @@ K = 20
 B = SearchBounds()
 
 
-def count(ends, cons, mode="lambda", connected=True, seed=0, order=K,
-          bounds=B):
+def count(ends, cons, mode="lambda", connected=True, order=K, bounds=B):
     cyc = cycle_from_constraints(ends, cons)
     req = CountRequest(tuple(ends), cyc, connected, mode, bounds)
-    return weighted_count(req, order, seed)
+    return weighted_count(req, order)
 
 
 def _apply(m, v):
@@ -175,7 +179,7 @@ class TestRelative:
         fan = p1_cubed_fan()
         ends = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
         cons = {1: ("point", (0, 1, 17)), 2: ("plane", 0, 4)}
-        rel = relative_invariant(fan, [0] * 6, ends, cons, K, seed=0)
+        rel = relative_invariant(fan, [0] * 6, ends, cons, K)
         plain = count(ends, cons).value
         assert rel.agrees(plain)
 
@@ -184,7 +188,7 @@ class TestRelative:
         pts = {1: ("point", (Fraction(3, 7), Fraction(-2, 5), Fraction(1, 3))),
                2: ("point", (Fraction(-1, 2), Fraction(5, 11), Fraction(4, 9)))}
         rel = relative_invariant(fan, [1, 1, 1, 1],
-                                 [(0, 0, 0), (0, 0, 0)], pts, K, seed=0)
+                                 [(0, 0, 0), (0, 0, 0)], pts, K)
         absv = absolute_invariant(cp3_fan(), [1, 1, 1, 1], 2, K, seed=0)
         assert rel.agrees(absv)
 
@@ -226,6 +230,26 @@ class TestReducedDT:
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
             reduced_dt(p1_cubed_fan(), [0] * 6, 1, K)
+
+
+def test_huge_class_is_not_listed():
+    # 4 * 10^30 ends are past the edge bound: the count is zero before any
+    # end is listed.  Run apart, under a memory limit, so that listing them
+    # fails at once instead of taking the machine's memory.
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from tropgw.invariants import absolute_invariant, cp3_fan\n"
+        "start = time.perf_counter()\n"
+        "v = absolute_invariant(cp3_fan(), [10 ** 30] * 4, 0)\n"
+        "assert time.perf_counter() - start < 1\n"
+        "assert v.is_zero() and v.order == 20 - 4 * 10 ** 30\n")
+    src = str(Path(invariants.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _bridge_cases() -> dict:
@@ -313,7 +337,7 @@ def _set_partitions(n: int):
     yield from grow(1)
 
 
-def _block_sum(ends, cons, seed):
+def _block_sum(ends, cons):
     """Sum over the set partitions of the labels into balanced blocks whose
     constraint codimension is their number of ends, of the product of the
     blocks' connected raw q counts."""
@@ -330,7 +354,7 @@ def _block_sum(ends, cons, seed):
             if cyc.ambient_dim - len(cyc.strata[0].span) != len(sub):
                 break
             term = term * weighted_count(
-                CountRequest(tuple(sub), cyc, True, "q"), seed=seed).value
+                CountRequest(tuple(sub), cyc, True, "q")).value
         else:
             total = total + term
     return total
@@ -360,20 +384,31 @@ class TestDisconnectedOracle:
 
         def raw(is_connected):
             return weighted_count(CountRequest(
-                tuple(ends), cyc, is_connected, "q"), seed=seed).value
+                tuple(ends), cyc, is_connected, "q")).value
 
         assert raw(True) == connected
         assert raw(False) == disconnected
-        assert _block_sum(ends, cons, seed) == disconnected
+        assert _block_sum(ends, cons) == disconnected
 
 
 class TestRobustness:
-    def test_seed_invariance_of_counts(self):
+    def test_seed_invariance_of_counts(self, monkeypatch):
+        # the count with each resolved weight summed at a seeded shift; with
+        # the points swapped, a resolved type is placed
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 2), (0, -1, -2)]
-        cons = {1: ("point", (0, 0, -1)), 2: ("point", (0, 0, 1))}
-        base = count(ends, cons, seed=0).value
-        for s in (1, 2, 3, 4):
-            assert count(ends, cons, seed=s).value.agrees(base)
+        configs = [{1: ("point", (0, 0, -1)), 2: ("point", (0, 0, 1))},
+                   {1: ("point", (0, 0, 1)), 2: ("point", (0, 0, -1))}]
+        base = [count(ends, cons) for cons in configs]
+        assert any(weights._derivation(c.ctype).kind == "resolved"
+                   for res in base for c in res.contributions)
+        for s in range(5):
+            def shifted(t, order, mode, s=s):
+                if weights._derivation(t).kind != "resolved":
+                    return weights.curve_weight(t, order, mode)
+                return shift_oracle.weight(t, shift_oracle.sample_shifts(t, s))
+            monkeypatch.setattr(invariants, "curve_weight", shifted)
+            for cons, res in zip(configs, base):
+                assert count(ends, cons).value.agrees(res.value)
 
     def test_gl3_invariance_of_counts(self):
         u = [[1, 2, 0], [0, 1, 0], [1, 1, 1]]  # det 1
@@ -405,9 +440,9 @@ class TestRobustness:
             ends_u = [_apply(rows, e) for e in ends]
             cons_u = {label: ("point", _apply(rows, pt))
                       for label, (_, pt) in cons.items()}
-            base = count(ends, cons, seed=seed).value
+            base = count(ends, cons).value
             assert not base.is_zero()
-            assert count(ends_u, cons_u, seed=seed).value == base
+            assert count(ends_u, cons_u).value == base
 
     @pytest.mark.parametrize("p_seed", range(6))
     def test_signed_permutation_invariance_with_planes(self, p_seed):
@@ -458,13 +493,13 @@ class TestRobustness:
         cons = {1: ("point", (0, 0, -1)), 2: ("point", (0, 0, 1))}
         cyc = cycle_from_constraints(ends, cons)
         res = certified_count(CountRequest(tuple(ends), cyc, True, "lambda",
-                                           SearchBounds(max_genus=2)), K, 0)
+                                           SearchBounds(max_genus=2)), K)
         assert res.certified is True
 
     def test_certified_count_widens_every_bound(self, monkeypatch):
         seen = []
 
-        def fake_count(req, order, seed):
+        def fake_count(req, order):
             seen.append(req.bounds)
             return invariants.CountResult(LaurentSeries.zero(order), [],
                                           req.bounds, 0)
@@ -473,5 +508,5 @@ class TestRobustness:
         ends = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)]
         req = CountRequest(tuple(ends), cycle_from_constraints(ends, {}),
                            True, "lambda", SearchBounds(4, 2, 1))
-        assert certified_count(req, K, 0).certified is True
+        assert certified_count(req, K).certified is True
         assert seen == [SearchBounds(4, 2, 1), SearchBounds(5, 3, 2)]

@@ -2,7 +2,9 @@
 
 One sha256 covers the sort_keys JSON of
   * the lambda weight, q weight and weight_trace of every loop-family type
-    Gamma_mu with |mu| <= 5, at shift seeds 0 and 15, each from cold caches;
+    Gamma_mu with |mu| <= 5, each from cold caches, under one key per seed
+    0 and 15 (no weight depends on a seed, so the two entries of a type are
+    equal; the keys keep the digest);
   * exit code and stdout of every bundled absolute / dt / count / fgamma /
     relative / enumerate command-line input and of the s4 and dt identity
     suites, in JSON format with the trace on.
@@ -86,7 +88,7 @@ def _weights_document() -> dict:
                     "lambda": weights.curve_weight(
                         t, ORDER, "lambda", seed).to_json(),
                     "q": weights.curve_weight(t, ORDER, "q", seed).to_json(),
-                    "trace": weights.weight_trace(t, seed),
+                    "trace": weights.weight_trace(t),
                 }
     weights.clear_caches()
     return doc

@@ -58,3 +58,19 @@ def test_weights_name_no_sine_closed_form():
     text = (SRC / "weights.py").read_text()
     assert [n for n in ("two_sin_half", "normalized_sin_half")
             if n in text] == []
+
+
+def test_weights_resolve_at_no_drawn_shift():
+    # every resolution is taken at the eps-moved zero shift: a random draw
+    # or a shift argument in weights would be a second genericity device
+    tree = ast.parse((SRC / "weights.py").read_text())
+    imported = [a.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module]
+    assert "random" not in imported
+    params = [a.arg for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.Lambda))
+              for a in (*node.args.posonlyargs, *node.args.args,
+                        *node.args.kwonlyargs)]
+    assert params and "shifts" not in params

@@ -116,7 +116,7 @@ class TestGeneralityOracle:
         for n in range(1, 5):
             for mu in enumeration._partitions(n):
                 weights.clear_caches()
-                weights.curve_weight(gamma_mu(n, mu), 4, "lambda", 0)
+                weights.curve_weight(gamma_mu(n, mu), 4, "lambda")
         weights.clear_caches()
         assert seen
         for t, verdict in seen:
@@ -171,7 +171,7 @@ class TestDeformationLatticeOracle:
         for n in range(1, 5):
             for mu in enumeration._partitions(n):
                 weights.clear_caches()
-                weights.curve_weight(gamma_mu(n, mu), 4, "lambda", 0)
+                weights.curve_weight(gamma_mu(n, mu), 4, "lambda")
         weights.clear_caches()
         assert candidates
         for t in candidates:
@@ -277,7 +277,7 @@ class TestGluedIndexOracle:
         for n in range(1, 5):
             for mu in enumeration._partitions(n):
                 weights.clear_caches()
-                weights.curve_weight(gamma_mu(n, mu), 4, "q", 0)
+                weights.curve_weight(gamma_mu(n, mu), 4, "q")
         weights.clear_caches()
         indices = []
         for solver in solvers:
