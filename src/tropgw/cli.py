@@ -60,10 +60,11 @@ def _relative(d: dict):
     _check_degrees(fan, degrees)
     alpha_ends = _ints(d.get("alpha_ends", []), "alpha_ends", 3, rows=True)
     constraints = d.get("constraints", {})
+    # "01" or "١" would name end 1 too, and the last of them would win
     if not (isinstance(constraints, dict)
-            and all(k.isdecimal() for k in constraints)):
-        raise ValueError(f"constraints must map decimal end labels to "
-                         f"constraints, got {constraints!r}")
+            and all(k.isdecimal() and k == str(int(k)) for k in constraints)):
+        raise ValueError(f"constraints must map end labels, written as plain "
+                         f"decimals, to constraints, got {constraints!r}")
     for c in constraints.values():
         _check_constraint(c)
     return fan, degrees, alpha_ends, {int(k): c for k, c in constraints.items()}

@@ -6,17 +6,20 @@ balancing in one pass over the tree rooted at leaf 1.  Positive genus
 augments the trees two ways: splitting a non-primitive internal edge into
 parallel multiples of its primitive direction, and adding extra edges between
 existing vertices with a bounded free derivative, rebalancing along the path
-between them, which is found once per vertex pair.  The surviving trees are
-general and distinct as they are; only the augmented types are filtered
-through is_general and deduplicated up to isomorphism.  Completeness holds
-only within the stated bounds and every caller surfaces them.
+between them, which is found once per vertex pair.  Only candidates that can
+repeat or fail are filtered: the surviving trees and their splits are general
+and distinct as they are, and so are the unions of connected types over the
+balanced blocks of a disconnected enumeration, so only the loop-edge types
+and their splits pass the genus bound, the duplicate check and is_general.
+Completeness holds only within the stated bounds and every caller surfaces
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -163,6 +166,16 @@ def _check_constraint(con) -> None:
         f" with integer or fraction entries, got {con!r}")
 
 
+def _check_constraints(constraints: dict[int, tuple], n_ends: int) -> None:
+    """Refuse a constraint on a label outside 1..n_ends or one that
+    _check_constraint refuses."""
+    for label, con in constraints.items():
+        if type(label) is not int or not 1 <= label <= n_ends:
+            raise ValueError(f"constraint on label {label!r}, but the ends are "
+                             f"labeled 1..{n_ends}")
+        _check_constraint(con)
+
+
 def cycle_from_constraints(ends: Sequence[IntVec3],
                            constraints: dict[int, tuple]) -> ConstraintCycle:
     """Build the product cycle for per-end affine constraints.
@@ -173,11 +186,7 @@ def cycle_from_constraints(ends: Sequence[IntVec3],
     end's direction, otherwise it cuts nothing out and is rejected, as is a
     constraint on a label with no end.
     """
-    for label, con in constraints.items():
-        if type(label) is not int or not 1 <= label <= len(ends):
-            raise ValueError(f"constraint on label {label!r}, but the ends are "
-                             f"labeled 1..{len(ends)}")
-        _check_constraint(con)
+    _check_constraints(constraints, len(ends))
     # one block per end in label order: 3 rows for a zero end, 2 otherwise
     blocks = _evaluation_blocks(tuple(e) for e in ends)
     total = sum(len(blocks[tuple(d)]) for d in ends)
@@ -403,87 +412,86 @@ def enumerate_curve_types(ends: Sequence[IntVec3], bounds: SearchBounds,
     # each surviving tree is general (see _cheap_reject) and, being fixed by
     # its splits, a type of its own: the key only sorts
     kept = {t.canonical_key(): t for t in trees}
-    if bounds.max_genus > 0:
-        augmented = []
-        # extra edges with free bounded derivatives, iterated
-        box = list(_box_vectors(bounds.max_derivative_norm))
-        layer = trees
-        for _ in range(bounds.max_genus):
-            if not (layer and box):
-                break
-            nxt = []
-            for t in layer:
-                if t.n_internal + 1 > bounds.max_internal_edges:
-                    continue
-                for u, w in combinations(t.vertices, 2):
-                    path = _tree_path(t, u, w)
-                    for d in box:
-                        t2 = _with_extra_edge(t, path, u, w, d)
-                        if not _cheap_reject(t2):
-                            nxt.append(t2)
-            augmented.extend(nxt)
-            layer = nxt
-        # parallel splittings of non-primitive edges
-        for t in trees + augmented:
-            augmented.extend(s for s in _parallel_splits(t, bounds)
-                             if not _cheap_reject(s))
-        # both layers keep within max_internal_edges, but a split can exceed
-        # max_genus; keys of rejects are kept too, to skip isomorphic copies
-        blocks = _evaluation_blocks(ends)
-        seen = set(kept)
-        for t in augmented:
+    # extra edges with free bounded derivatives, iterated
+    box = list(_box_vectors(bounds.max_derivative_norm))
+    loops = []
+    layer = trees
+    for _ in range(bounds.max_genus):
+        if not (layer and box):
+            break
+        nxt = []
+        for t in layer:
+            if t.n_internal + 1 > bounds.max_internal_edges:
+                continue
+            for u, w in combinations(t.vertices, 2):
+                path = _tree_path(t, u, w)
+                for d in box:
+                    t2 = _with_extra_edge(t, path, u, w, d)
+                    if not _cheap_reject(t2):
+                        nxt.append(t2)
+        loops.extend(nxt)
+        layer = nxt
+    blocks = _evaluation_blocks(ends)
+    seen = set(kept)
+
+    def admit(candidates):
+        # a split keeps within max_internal_edges but can exceed max_genus;
+        # keys of rejects are seen too, to skip isomorphic copies
+        for t in candidates:
             if t.n_internal - t.n_vertices + 1 > bounds.max_genus:
                 continue
             key = t.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            if _is_general(t, blocks):
-                kept[key] = t
+            if key not in seen:
+                seen.add(key)
+                if _is_general(t, blocks):
+                    kept[key] = t
+
+    admit(loops)
+    # a split of a surviving tree is general as well, its lengths forced by
+    # the tree's, and a type of its own; only a loop edge parallel to a tree
+    # edge can reproduce one, and that loop-edge type keeps its place
+    for t in trees:
+        for s in _parallel_splits(t, bounds):
+            kept.setdefault(s.canonical_key(), s)
+    seen.update(kept)
+    admit(s for t in loops for s in _parallel_splits(t, bounds)
+          if not _cheap_reject(s))
     return [kept[key] for key in sorted(kept)]
 
 
-def _set_partitions(items: list):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield [[first]] + part
-
-
 def _enumerate_disconnected(ends, bounds) -> list[CurveType]:
-    """Multisets of connected general types partitioning the labeled ends.
+    """Unions of connected general types over the set partitions of the
+    labeled ends into balanced blocks.
 
     Every component carries at least one end, which is exactly the "no
-    trivial components" requirement of the disconnected count.
+    trivial components" requirement of the disconnected count.  An
+    isomorphism fixes the labels, so it cannot move a component to another
+    block: the unions are distinct as they are.
     """
-    n = len(ends)
-    out: dict = {}
-    for part in _set_partitions(list(range(1, n + 1))):
-        blocks = [sorted(b) for b in part]
-        if any(tuple(sum(ends[l - 1][c] for l in b) for c in range(3)) != (0, 0, 0)
-               for b in blocks):
-            continue
-        per_block = []
-        ok = True
-        for b in blocks:
-            sub = enumerate_curve_types([ends[l - 1] for l in b], bounds,
-                                        connected=True)
-            if not sub:
-                ok = False
-                break
-            per_block.append([(b, s) for s in sub])
-        if not ok:
-            continue
-        for combo in product(*per_block):
-            merged = _merge_components(combo)
-            key = merged.canonical_key()
-            if key not in out:
-                out[key] = merged
-    return [out[key] for key in sorted(out)]
+    connected: dict[tuple[int, ...], list[CurveType]] = {}
+
+    def unions(rest):
+        """Lists of (block, type) pairs covering the labels rest, the block
+        holding rest[0] first; each block's types are enumerated once."""
+        if not rest:
+            yield []
+            return
+        for k in range(len(rest)):
+            for extra in combinations(rest[1:], k):
+                block = (rest[0],) + extra
+                if block not in connected:
+                    sub = [ends[l - 1] for l in block]
+                    connected[block] = ([] if any(map(sum, zip(*sub)))
+                                        else enumerate_curve_types(sub, bounds))
+                if connected[block]:
+                    tails = list(unions([l for l in rest if l not in block]))
+                    yield from ([(block, t)] + tail
+                                for t in connected[block] for tail in tails)
+
+    # a union numbers its vertices block by block, by ascending highest label
+    return sorted((_merge_components(sorted(parts, key=lambda p: p[0][-1]))
+                   for parts in unions(list(range(1, len(ends) + 1)))),
+                  key=CurveType.canonical_key)
 
 
 def _merge_components(combo) -> CurveType:

@@ -23,6 +23,7 @@ from .lattice import lattice_index, primitive_part
 from .enumeration import (
     ConstraintCycle,
     SearchBounds,
+    _check_constraints,
     cycle_from_constraints,
     enumerate_curve_types,
     place_curves,
@@ -182,6 +183,14 @@ class CountResult:
     certified: bool | None = None
 
 
+def _check_codimension(what: str, codim: int, n_ends: int) -> None:
+    """Refuse constraints that do not cut the types of n_ends ends down to
+    finitely many curves."""
+    if codim != n_ends:
+        raise ValueError(f"{what} has codimension {codim}, expected {n_ends} "
+                         f"(the count would not be zero-dimensional)")
+
+
 def weighted_count(req: CountRequest, order: int = 20) -> CountResult:
     """Evaluate the weighted count of constrained general tropical curves.
 
@@ -191,13 +200,9 @@ def weighted_count(req: CountRequest, order: int = 20) -> CountResult:
     perturbation of that base, so the count is the one at generic positions
     arbitrarily close to the given ones.
     """
-    n_ends = len(req.ends)
     for i, s in enumerate(req.cycle.strata):
-        codim = req.cycle.ambient_dim - len(s.span)
-        if codim != n_ends:
-            raise ValueError(
-                f"stratum {i} has codimension {codim}, expected {n_ends} "
-                f"(the count would not be zero-dimensional)")
+        _check_codimension(f"stratum {i}", req.cycle.ambient_dim - len(s.span),
+                           len(req.ends))
     types = enumerate_curve_types(list(req.ends), req.bounds,
                                   connected=req.connected)
     total = QHalfLaurent.zero()
@@ -267,9 +272,10 @@ def _past_edge_bound(n_ends: int, bounds: SearchBounds) -> bool:
 def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int,
                  bounds: SearchBounds | None = None):
     """The ends of a degree class, d_i copies of ray i, followed by one marker
-    end per point, and the seeded point constraints on the markers.  Given
-    bounds, None in place of both when the connected count is zero by
-    _past_edge_bound, before any end is listed."""
+    end per point, and the seeded point constraints on the markers.  A class
+    that the points do not cut down to finitely many curves is refused, and
+    given bounds, None stands in for both when the connected count is zero
+    by _past_edge_bound; both before any end is listed."""
     _check_degrees(fan, degrees)
     if type(points) is not int or points < 0:
         raise ValueError(f"points must be a non-negative integer, got {points!r}")
@@ -278,7 +284,10 @@ def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int,
     total = _class_total(fan, degrees)
     if total != (0, 0, 0):
         raise ValueError(f"degrees do not balance: {total}")
-    if bounds is not None and _past_edge_bound(sum(degrees) + points, bounds):
+    n_ends = sum(degrees) + points
+    # each point costs 3 on its zero end
+    _check_codimension(f"the cycle of {points} points", 3 * points, n_ends)
+    if bounds is not None and _past_edge_bound(n_ends, bounds):
         return None
     ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
     constraints = {len(ends) + j + 1: ("point", _seeded_point(seed, j))
@@ -335,7 +344,14 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     total = _class_total(fan, degrees, alpha_ends)
     if total != (0, 0, 0):
         raise ValueError(f"ends with degrees do not balance: {total}")
-    if _past_edge_bound(len(alpha_ends) + sum(degrees), bounds):
+    n_ends = len(alpha_ends) + sum(degrees)
+    _check_constraints(constraints, n_ends)
+    # a point costs 3 on a zero end and 2 on any other end, a plane 1
+    _check_codimension("the constraint cycle", sum(
+        1 if con[0] == "plane"
+        else 3 if l <= len(alpha_ends) and not any(alpha_ends[l - 1]) else 2
+        for l, con in constraints.items()), n_ends)
+    if _past_edge_bound(n_ends, bounds):
         raw = QHalfLaurent.zero()
     else:
         ends = list(alpha_ends)

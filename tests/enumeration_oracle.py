@@ -12,9 +12,11 @@ check, and splits only types with a non-primitive internal edge.
 enumerate_curve_types takes the library's trees and loop-edge types, splits
 every one of them, and passes every candidate, trees included, through the
 bounds, the duplicate check and is_general, as the enumeration once did.
+enumerate_disconnected walks every set partition of the labels on top of it
+and deduplicates the merged unions, which the library takes as they are.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from tropgw import enumeration
 from tropgw.lattice import primitive_part
@@ -154,3 +156,34 @@ def parallel_splits(t, bounds):
     for edges in rec(0, [], 0):
         if len(edges) != t.n_internal:
             yield CurveType.make(t.vertices, edges, t.external_edges)
+
+
+def set_partitions(items):
+    """The set partitions of items as lists of blocks, each block in the
+    order of items and the blocks by ascending last item."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+        yield [[first]] + part
+
+
+def enumerate_disconnected(ends, bounds):
+    """The unions of this module's connected types over every set partition
+    of the labels into balanced blocks, each block enumerated again for every
+    partition holding it, and deduplicated by canonical key, as the
+    enumeration once did."""
+    ends = [tuple(e) for e in ends]
+    out = {}
+    for part in set_partitions(list(range(1, len(ends) + 1))):
+        if any(any(map(sum, zip(*(ends[l - 1] for l in b)))) for b in part):
+            continue
+        per_block = [[(b, t) for t in enumerate_curve_types(
+            [ends[l - 1] for l in b], bounds)] for b in part]
+        for combo in product(*per_block):
+            merged = enumeration._merge_components(combo)
+            out.setdefault(merged.canonical_key(), merged)
+    return [out[key] for key in sorted(out)]

@@ -203,22 +203,58 @@ class TestToricCommands:
 
     @pytest.mark.parametrize("top", [0, -1])
     def test_huge_relative_class(self, tmp_path, capsys, top):
-        # a degree of 10^30 per ray is checked for balance without listing
-        # its ends; the balanced class is past the edge bound and counts
-        # nothing, the unbalanced one is refused
+        # a degree of 10^30 per ray is checked for balance and codimension
+        # without listing its ends; the balanced class past the edge bound
+        # used to count nothing, although its two points cut out 6
+        # dimensions of 4 * 10^30 + 2
         doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
         doc["degrees"] = [10 ** 30] * 3 + [10 ** 30 + top]
         f = tmp_path / "huge.json"
         f.write_text(json.dumps(doc))
         code, out, err = run(capsys, "relative", str(f), "--format", "json")
-        if top:
-            assert code == 2
-            assert "do not balance" in err
-        else:
-            assert code == 0
-            value = json.loads(out)["value"]
-            assert value["coefficients"] == []
-            assert value["truncation_order"] == 20 - 4 * 10 ** 30
+        assert code == 2
+        assert out == ""
+        assert ("do not balance" if top else "codimension") in err
+
+    def test_relative_class_past_the_edge_bound_checks_codimension(
+            self, tmp_path, capsys):
+        # 14 ends are past the edge bound; the class used to count zero,
+        # while the same mismatch within the bound was refused
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["degrees"] = [3] * 4
+        f = tmp_path / "degree3.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert "the constraint cycle has codimension 6, expected 14" in err
+
+    def test_huge_absolute_class_checks_codimension(self, capsys):
+        code, out, err = run(capsys, "absolute", data_path("cp3.json"),
+                             "--degrees", str(10 ** 30), "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert "the cycle of 2 points has codimension 6" in err
+
+    def test_huge_dt_class_is_refused_before_its_ends_are_listed(self):
+        # 4 * 10^9 ends used to be listed until memory ran out; run apart
+        # under a 1 GiB address space so that a regression fails at once
+        code = ("import resource, sys, time\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from tropgw import cli\n"
+                "start = time.perf_counter()\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "assert time.perf_counter() - start < 1\n"
+                "sys.exit(code)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "dt", data_path("cp3.json"),
+             "--degrees", "1000000000", "--points", "2"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                p for p in (SRC, os.environ.get("PYTHONPATH")) if p)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "codimension" in proc.stderr
 
     def test_bad_degree_count_is_exit_2(self, capsys):
         code, _, err = run(capsys, "absolute", data_path("cp3.json"),
@@ -451,6 +487,20 @@ class TestMalformedInput:
         assert code == 2
         assert out == ""
         assert "labeled 1..6" in err
+
+    @pytest.mark.parametrize("label", ["01", "\u0661"])
+    def test_non_canonical_constraint_label_is_exit_2(self, tmp_path, capsys,
+                                                      label):
+        # each of these names end 1, whose own constraint the last key used
+        # to replace without notice
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["constraints"][label] = ["point", [5, 5, 5]]
+        f = tmp_path / "relative_label.json"
+        f.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "relative", str(f))
+        assert code == 2
+        assert out == ""
+        assert f"{f}: constraints must map" in err
 
     def test_non_integer_seed_variable_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPGW_SEED", "abc")

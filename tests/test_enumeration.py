@@ -156,7 +156,8 @@ def _balanced_ends(draw):
 
 class TestGenusZeroLayer:
     """The enumeration takes every tree that survives _tree_to_type and
-    _cheap_reject as a general type of its own."""
+    _cheap_reject, and every parallel split of one, as a general type of its
+    own."""
 
     @given(_balanced_ends())
     @example([(1, 0, 0), (1, 0, 0), (0, 1, 0), (-2, -1, 0)])
@@ -199,14 +200,88 @@ class TestGenusZeroLayer:
             cp3 + [mark] * 2, SearchBounds(max_genus=0))) == 90
         # every internal edge is primitive, so nothing is split
         assert len(enumerate_curve_types(p1_cubed + [mark] * 2, B)) == 6120
-        assert calls == []
-        # the parallel splits of the doubled rays still pass the rank tests
+        # the parallel splits of a tree are taken as they are too: those of
+        # the doubled rays, and the Gamma_mu loop types of the four-end
+        # family, the 10 splits of its edge of multiplicity 6
         assert len(enumerate_curve_types(
             [(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), mark], B)) == 60
-        assert calls
+        assert len(enumerate_curve_types(
+            [(1, 0, 0), (0, 1, 0), (-1, 0, 6), (0, -1, -6)], B)) == 2 + 11
+        assert calls == []
+        # the loop-edge types and their splits still pass the rank tests
+        assert len(enumerate_curve_types(cp3 + [mark], SearchBounds(5, 1, 1))) == 48
+        assert len(calls) == 933
+
+    @given(_balanced_ends())
+    @example([(2, 0, 0), (0, 2, 0), (-2, -2, 0), (0, 0, 0), (0, 0, 0)])
+    @example([(2, 0, 0), (0, 2, 0), (0, 0, 2), (-2, -2, -2), (0, 0, 0)])
+    @example([(1, 0, 0), (0, 1, 0), (-1, 0, 6), (0, -1, -6)])
+    def test_tree_splits_are_general_and_distinct(self, ends):
+        # the premise of taking every parallel split of a surviving tree
+        # without a filter: it is general, within both bounds, and no tree
+        # or other split shares its key.  The 10,395 trees of 7 ends and
+        # their splits take seconds per end set.
+        assume(len(ends) <= 6)
+        trees = [t for t in (_tree_to_type(edges, ends)
+                             for edges in _tree_shapes(len(ends)))
+                 if t is not None and not _cheap_reject(t)]
+        keys = {t.canonical_key() for t in trees}
+        assert len(keys) == len(trees)
+        for t in trees:
+            for s in enumeration._parallel_splits(t, B):
+                assert not _cheap_reject(s)
+                assert s.n_internal <= B.max_internal_edges
+                assert s.n_internal - s.n_vertices + 1 <= B.max_genus
+                assert is_general(s)
+                key = s.canonical_key()
+                assert key not in keys
+                keys.add(key)
+
+
+_CP3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+_P1_CUBED = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+             (0, 0, -1)]
+_FAMILY3_N2 = [(1, 0, 0), (0, 1, 0), (-1, 0, 2), (0, -1, -2)]
 
 
 class TestDisconnected:
+    @pytest.mark.parametrize("ends", [_FAMILY3_N2] + [
+        rays + [(0, 0, 0)] * k for rays, top in ((_CP3, 3), (_P1_CUBED, 2))
+        for k in range(top)],
+        ids=["family3_n2", "cp3", "cp3+1", "cp3+2", "p1cubed", "p1cubed+1"])
+    def test_matches_partition_oracle(self, ends):
+        # the unions taken as they are against every set partition's unions,
+        # deduplicated by key, in to_json and in order
+        assert ([t.to_json() for t in enumerate_curve_types(ends, B, connected=False)]
+                == [t.to_json() for t in
+                    enumeration_oracle.enumerate_disconnected(ends, B)])
+
+    @given(_balanced_ends())
+    def test_random_ends_match_partition_oracle(self, ends):
+        # the oracle takes seconds on one set of 7 ends
+        assume(len(ends) <= 6)
+        bounds = SearchBounds(6, 2, 0)
+        assert (enumerate_curve_types(ends, bounds, connected=False)
+                == enumeration_oracle.enumerate_disconnected(ends, bounds))
+
+    def test_each_block_is_enumerated_once(self, monkeypatch):
+        asked = []
+        real = enumeration.enumerate_curve_types
+
+        def counted(ends, bounds, connected=True):
+            asked.append(tuple(ends))
+            return real(ends, bounds, connected)
+
+        monkeypatch.setattr(enumeration, "enumerate_curve_types", counted)
+        ends = _P1_CUBED + [(0, 0, 0)] * 2
+        types = enumeration._enumerate_disconnected(ends, B)
+        # 31 nonempty balanced blocks of the 8 labels; walking all 4,140
+        # set partitions enumerated them 75 times
+        assert len(asked) == 30
+        assert len(types) == 6192
+        assert ([t.to_json() for t in types] == [
+            t.to_json() for t in enumeration_oracle.enumerate_disconnected(ends, B)])
+
     def test_two_blocks(self):
         ends = [(1, 0, 0), (0, 1, 0), (-1, -1, 0),
                 (0, 0, 1), (1, 0, 0), (-1, 0, -1)]

@@ -233,15 +233,16 @@ class TestReducedDT:
 
 
 def test_huge_class_is_not_listed():
-    # 4 * 10^30 ends are past the edge bound: the count is zero before any
-    # end is listed.  Run apart, under a memory limit, so that listing them
-    # fails at once instead of taking the machine's memory.
+    # 6 * 10^30 ends, cut to points by 2 * 10^30 point markers, are past the
+    # edge bound: the count is zero before any end is listed.  Run apart,
+    # under a memory limit, so that listing them fails at once instead of
+    # taking the machine's memory.
     code = (
         "import resource, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from tropgw.invariants import absolute_invariant, cp3_fan\n"
         "start = time.perf_counter()\n"
-        "v = absolute_invariant(cp3_fan(), [10 ** 30] * 4, 0)\n"
+        "v = absolute_invariant(cp3_fan(), [10 ** 30] * 4, 2 * 10 ** 30)\n"
         "assert time.perf_counter() - start < 1\n"
         "assert v.is_zero() and v.order == 20 - 4 * 10 ** 30\n")
     src = str(Path(invariants.__file__).parent.parent)
@@ -250,6 +251,13 @@ def test_huge_class_is_not_listed():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_huge_class_of_the_wrong_codimension_is_refused():
+    # no point cuts 4 * 10^30 ends down; past the edge bound this class used
+    # to count zero
+    with pytest.raises(ValueError, match="codimension 0"):
+        absolute_invariant(cp3_fan(), [10 ** 30] * 4, 0)
 
 
 def _bridge_cases() -> dict:

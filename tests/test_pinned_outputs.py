@@ -19,8 +19,9 @@ non-primitive edges.
 
     PYTHONPATH=src python tests/test_pinned_outputs.py OUT.json
 
-writes the pinned document itself (sorted keys, indented), so the documents
-of two checkouts can be diffed to see what moved.
+writes the pinned document itself (sorted keys, indented), and next to it, in
+OUT.enumerations.json, the two type lists behind ENUMERATION_PINNED, so the
+documents of two checkouts can be diffed to see what moved.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ import io
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -120,18 +122,33 @@ def test_weights_traces_and_cli_outputs_are_pinned():
     assert pinned_digest() == PINNED
 
 
+ENUMERATION_IDS = ["loop-edge search", "parallel splits"]
+
+
+def _types_document(ends, bounds) -> list:
+    return [t.to_json() for t in enumerate_curve_types(ends, bounds)]
+
+
 @pytest.mark.parametrize("ends,bounds,count,digest", ENUMERATION_PINNED,
-                         ids=["loop-edge search", "parallel splits"])
+                         ids=ENUMERATION_IDS)
 def test_enumerations_are_pinned(ends, bounds, count, digest):
-    types = enumerate_curve_types(ends, bounds)
+    types = _types_document(ends, bounds)
     assert len(types) == count
     assert hashlib.sha256(json.dumps(
-        [t.to_json() for t in types], sort_keys=True).encode()).hexdigest() == digest
+        types, sort_keys=True).encode()).hexdigest() == digest
+
+
+def _dump(doc, path) -> None:
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=1)
+        f.write("\n")
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: test_pinned_outputs.py OUT.json")
-    with open(sys.argv[1], "w") as f:
-        json.dump(pinned_document(), f, sort_keys=True, indent=1)
-        f.write("\n")
+    out = Path(sys.argv[1])
+    _dump(pinned_document(), out)
+    _dump({name: _types_document(ends, bounds) for name, (ends, bounds, _, _)
+           in zip(ENUMERATION_IDS, ENUMERATION_PINNED)},
+          out.with_suffix(".enumerations.json"))
