@@ -36,7 +36,7 @@ def main():
     print("   ", inv)
     print("    expected (sin(x/2)/(x/2))^2:", inv.agrees((one * one).shift(-2)))
 
-    dt = reduced_dt(p13, [1, 1, 0, 0, 0, 0], 1, args.order, args.seed)
+    dt = reduced_dt(p13, [1, 1, 0, 0, 0, 0], 1, args.seed)
     print("reduced DT for the line class through a point:", dt)
     print(f"done in {time.time() - t0:.1f}s")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -81,17 +80,9 @@ def _bounds_from_args(args, base: SearchBounds = SearchBounds()) -> SearchBounds
     return SearchBounds(*(k if g is None else g for g, k in zip(given, kept)))
 
 
-def _default_seed() -> int:
-    env = os.environ.get("TROPGW_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ParseFailure(f"TROPGW_SEED must be an integer, got {env!r}")
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--order", type=int, default=20, metavar="K")
-    p.add_argument("--seed", type=int)   # main fills in _default_seed()
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-internal-edges", type=int)
     p.add_argument("--max-genus", type=int)
     p.add_argument("--max-deriv", type=int)
@@ -156,7 +147,7 @@ def cmd_count(args) -> int:
 
 def _parse_degrees(s: str, n: int) -> list[int]:
     try:
-        out = [int(p) for p in s.split(",") if p != ""]
+        out = [int(p) for p in s.split(",")]
     except ValueError:
         raise ParseFailure(f"bad degree list {s!r}")
     if len(out) == 1 and n > 1:
@@ -184,7 +175,7 @@ def cmd_relative(args) -> int:
 def cmd_dt(args) -> int:
     fan = _read(args.fan, ToricFan.from_json)
     degrees = _parse_degrees(args.degrees, len(fan.rays))
-    value = reduced_dt(fan, degrees, args.points, args.order, args.seed,
+    value = reduced_dt(fan, degrees, args.points, args.seed,
                        _bounds_from_args(args))
     return _emit_value(value, args)
 
@@ -221,8 +212,7 @@ def cmd_verify_identities(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; it holds no default that
-    depends on the environment."""
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="tropgw",
         description="Exact tropical curve counts and their generating functions")
@@ -277,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.seed is None:
-            args.seed = _default_seed()
         if getattr(args, "order", 1) < 1:
             raise ParseFailure("--order must be at least 1")
         return args.fn(args)

@@ -267,7 +267,7 @@ def suite_dt(order: int = 20, seed: int = 0) -> list[tuple[str, bool]]:
             w = curve_weight(gamma_mu(total, mu), order, "q")
             checks.append((f"loop family consistency for mu={mu}",
                            w == expected_gamma_mu_qweight(mu)))
-    dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, order, seed)
+    dt = reduced_dt(p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1, seed)
     checks.append(("product-of-lines reduced DT equals q",
                    dt == QHalfLaurent.monomial(1, 2)))
     return checks

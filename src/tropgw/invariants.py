@@ -12,8 +12,10 @@ of rays, and the reduced DT polynomial of possibly disconnected curves.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, prod
 from typing import Sequence
 
@@ -255,54 +257,59 @@ def _check_degrees(fan: ToricFan, degrees: Sequence[int]):
         raise ValueError("degrees must be non-negative")
 
 
-def _class_total(fan: ToricFan, degrees: Sequence[int], extra=()):
-    """The sum of d_i times ray i and of the extra ends, without listing the
-    d_i copies."""
-    return tuple(sum(d * r[c] for r, d in zip(fan.rays, degrees))
-                 + sum(e[c] for e in extra) for c in range(3))
+def _class_ends(fan: ToricFan, degrees: Sequence[int], alpha_ends,
+                points: int, seed: int):
+    """The ends of a toric class, the alpha ends, then d_i copies of ray i,
+    then one marker end per point, and a seeded point constraint on each
+    marker."""
+    ends = [*alpha_ends, *(r for r, d in zip(fan.rays, degrees)
+                          for _ in range(d))]
+    markers = {len(ends) + j + 1: ("point", _seeded_point(seed, j))
+               for j in range(points)}
+    return ends + [(0, 0, 0)] * points, markers
 
 
-def _past_edge_bound(n_ends: int, bounds: SearchBounds) -> bool:
-    """Whether every connected type with n_ends ends has more internal edges
-    than bounds allow (it has at least n_ends - 3), so the connected count
-    is zero: the value enumerate_curve_types' early return gives."""
-    return n_ends - 3 > bounds.max_internal_edges
+def _toric_count(fan: ToricFan, degrees: Sequence[int], alpha_ends,
+                 constraints: dict[int, tuple], points: int, seed: int,
+                 connected: bool, bounds: SearchBounds) -> QHalfLaurent:
+    """The q count of the class of _class_ends over the d! of each ray; each
+    caller takes one power of its variable per boundary intersection.
 
-
-def _degree_ends(fan: ToricFan, degrees: Sequence[int], points: int, seed: int,
-                 bounds: SearchBounds | None = None):
-    """The ends of a degree class, d_i copies of ray i, followed by one marker
-    end per point, and the seeded point constraints on the markers.  A class
-    that the points do not cut down to finitely many curves is refused, and
-    given bounds, None stands in for both when the connected count is zero
-    by _past_edge_bound; both before any end is listed."""
+    Degrees (a class with no ends but markers is refused), balance, labels
+    and codimension are checked, and a connected class past the edge bound
+    counts zero, before any end is listed.
+    """
     _check_degrees(fan, degrees)
     if type(points) is not int or points < 0:
         raise ValueError(f"points must be a non-negative integer, got {points!r}")
-    if all(d == 0 for d in degrees):
+    if not (alpha_ends or any(degrees)):
         raise ValueError("the zero class is excluded")
-    total = _class_total(fan, degrees)
+    total = tuple(sum(e[c] for e in alpha_ends)
+                  + sum(d * r[c] for r, d in zip(fan.rays, degrees))
+                  for c in range(3))
     if total != (0, 0, 0):
-        raise ValueError(f"degrees do not balance: {total}")
-    n_ends = sum(degrees) + points
-    # each point costs 3 on its zero end
-    _check_codimension(f"the cycle of {points} points", 3 * points, n_ends)
-    if bounds is not None and _past_edge_bound(n_ends, bounds):
-        return None
-    ends = [r for r, d in zip(fan.rays, degrees) for _ in range(d)]
-    constraints = {len(ends) + j + 1: ("point", _seeded_point(seed, j))
-                   for j in range(points)}
-    return ends + [(0, 0, 0)] * points, constraints
-
-
-def _toric_count(degrees: Sequence[int], ends, constraints: dict[int, tuple],
-                 connected: bool, bounds: SearchBounds):
-    """The q count of the constrained ends over the d! of each ray; each
-    caller takes one power of its variable per boundary intersection."""
-    cycle = cycle_from_constraints(ends, constraints)
-    req = CountRequest(tuple(ends), cycle, connected, "q", bounds)
-    value = weighted_count(req).value
-    return value.scale(Fraction(1, prod(factorial(d) for d in degrees)))
+        raise ValueError(f"the ends do not balance: {total}")
+    _check_constraints(constraints, len(alpha_ends) + sum(degrees))
+    # the cycle of the constrained ends alone: label l lies in the first run
+    # (one per alpha end, then d_i copies of ray i) whose last label is >= l
+    runs = [*alpha_ends, *fan.rays]
+    last = list(accumulate([1] * len(alpha_ends) + list(degrees)))
+    labels = sorted(constraints)
+    cut = cycle_from_constraints(
+        [runs[bisect_left(last, l)] for l in labels],
+        {i: constraints[l] for i, l in enumerate(labels, 1)})
+    n_ends = len(alpha_ends) + sum(degrees) + points
+    # each marker costs 3 on its zero end
+    _check_codimension("the constraint cycle", cut.ambient_dim
+                       - len(cut.strata[0].span) + 3 * points, n_ends)
+    # a connected type has at least n_ends - 3 internal edges
+    if connected and n_ends - 3 > bounds.max_internal_edges:
+        return QHalfLaurent.zero()
+    ends, markers = _class_ends(fan, degrees, alpha_ends, points, seed)
+    req = CountRequest(tuple(ends), cycle_from_constraints(
+        ends, {**constraints, **markers}), connected, "q", bounds)
+    return weighted_count(req).value.scale(
+        Fraction(1, prod(factorial(d) for d in degrees)))
 
 
 def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
@@ -316,9 +323,7 @@ def absolute_invariant(fan: ToricFan, degrees: Sequence[int], points: int,
     """
     if not is_convex(fan):
         raise ValueError("fan fails the convexity requirement")
-    found = _degree_ends(fan, degrees, points, seed, bounds)
-    raw = (QHalfLaurent.zero() if found is None
-           else _toric_count(degrees, *found, True, bounds))
+    raw = _toric_count(fan, degrees, (), {}, points, seed, True, bounds)
     return _substitute(raw, order, points).shift(-sum(degrees))
 
 
@@ -337,33 +342,16 @@ def relative_invariant(fan: ToricFan, degrees: Sequence[int],
     """
     if not is_convex_relative(fan):
         raise ValueError("fan fails the relative convexity requirement")
-    _check_degrees(fan, degrees)
-    for i, d in enumerate(degrees):
-        if d > 0 and i not in fan.special:
-            raise ValueError("positive degree on a non-special ray")
-    total = _class_total(fan, degrees, alpha_ends)
-    if total != (0, 0, 0):
-        raise ValueError(f"ends with degrees do not balance: {total}")
-    n_ends = len(alpha_ends) + sum(degrees)
-    _check_constraints(constraints, n_ends)
-    # a point costs 3 on a zero end and 2 on any other end, a plane 1
-    _check_codimension("the constraint cycle", sum(
-        1 if con[0] == "plane"
-        else 3 if l <= len(alpha_ends) and not any(alpha_ends[l - 1]) else 2
-        for l, con in constraints.items()), n_ends)
-    if _past_edge_bound(n_ends, bounds):
-        raw = QHalfLaurent.zero()
-    else:
-        ends = list(alpha_ends)
-        for r, d in zip(fan.rays, degrees):
-            ends.extend([r] * d)
-        raw = _toric_count(degrees, ends, constraints, True, bounds)
+    if any(d != 0 and i not in fan.special for i, d in enumerate(degrees)):
+        raise ValueError("nonzero degree on a non-special ray")
+    raw = _toric_count(fan, degrees, alpha_ends, constraints, 0, 0, True,
+                       bounds)
     markers = sum(not any(e) for e in alpha_ends)
     return _substitute(raw, order, markers).shift(-sum(degrees))
 
 
 def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
-               order: int = 20, seed: int = 0,
+               seed: int = 0,
                bounds: SearchBounds = SearchBounds()) -> QHalfLaurent:
     """Reduced DT generating polynomial: the q-weighted count of possibly
     disconnected curves with no end-free components, times q^(d/2)/d! per ray."""
@@ -371,8 +359,7 @@ def reduced_dt(fan: ToricFan, degrees: Sequence[int], points: int,
         raise ValueError("fan fails the convexity requirement")
     # no early zero: the components of a disconnected type can each fit the
     # edge bound that the whole class exceeds
-    ends, constraints = _degree_ends(fan, degrees, points, seed)
-    raw = _toric_count(degrees, ends, constraints, False, bounds)
+    raw = _toric_count(fan, degrees, (), {}, points, seed, False, bounds)
     return raw * QHalfLaurent.monomial(1, sum(degrees))
 
 

@@ -269,10 +269,8 @@ class _ResolutionSolver:
         sign of the block's first nonzero entry.  A left null vector w != 0
         pulls back to a nonzero row in the same way, so w never vanishes on
         the eps-moved shift and the system is never solvable there."""
-        k = len(wires)
+        k = len(wires)   # >= 1: only a type with a loop edge is resolved
         glued, length_cols = self._glue(reps, wires)
-        if not k:
-            return [None, [], glued]
         projs = [self.proj[d] for *_, d in wires]
         # P_e d = 0, so the connector columns drop out of the projection
         rows = [[sum(p * x for p, x in zip(prow, col))
@@ -286,8 +284,6 @@ class _ResolutionSolver:
         if sol is None:
             return [None, None, glued]
         _, s_cols, null = sol
-        if not length_cols:
-            return [None, [], glued]
         # B = L N and L S, where L reads off the replacement lengths
         ln = [[nc[i] for nc in null] for i in length_cols]
         conds = positive_combinations(ln)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -234,7 +235,23 @@ class TestToricCommands:
                              "--degrees", str(10 ** 30), "--points", "2")
         assert code == 2
         assert out == ""
-        assert "the cycle of 2 points has codimension 6" in err
+        assert "the constraint cycle has codimension 6" in err
+
+    def test_relative_plane_that_cuts_nothing_is_refused_past_the_edge_bound(
+            self, tmp_path, capsys):
+        # labels 3-5 are (1, 0, 0) ends, which leave the plane x_0 = 1; past
+        # the edge bound this class used to count zero instead
+        doc = json.loads((DATA / "relative_cp3_all_special.json").read_text())
+        doc["degrees"] = [3] * 4
+        doc["constraints"].update({str(l): ["plane", 0, 1] for l in range(3, 11)})
+        f = tmp_path / "degree3_planes.json"
+        f.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "relative", str(f))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "does not constrain an end" in err
 
     def test_huge_dt_class_is_refused_before_its_ends_are_listed(self):
         # 4 * 10^9 ends used to be listed until memory ran out; run apart
@@ -260,6 +277,15 @@ class TestToricCommands:
         code, _, err = run(capsys, "absolute", data_path("cp3.json"),
                            "--degrees", "1,2", "--points", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("degrees", ["1,,1,1,1", "1,"])
+    def test_empty_degree_field_is_exit_2(self, capsys, degrees):
+        # empty fields used to be dropped, leaving the [1, 1, 1, 1] class
+        code, out, err = run(capsys, "absolute", data_path("cp3.json"),
+                             "--degrees", degrees, "--points", "2")
+        assert code == 2
+        assert out == ""
+        assert "bad degree list" in err
 
     @pytest.mark.parametrize("command", ["absolute", "dt"])
     def test_negative_points_are_exit_2(self, capsys, command):
@@ -502,13 +528,6 @@ class TestMalformedInput:
         assert out == ""
         assert f"{f}: constraints must map" in err
 
-    def test_non_integer_seed_variable_is_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("TROPGW_SEED", "abc")
-        code, out, err = run(capsys, "fgamma", data_path("vertex_wedge1.json"))
-        assert code == 2
-        assert out == ""
-        assert "TROPGW_SEED" in err
-
     def test_non_integer_special_rays_are_exit_2(self, tmp_path, capsys):
         doc = json.loads((DATA / "cp3.json").read_text())
         doc["special_rays"] = ["a"]
@@ -553,18 +572,3 @@ class TestGenusBound:
 
         assert enumerate_ends("1000000000000") == enumerate_ends("5")
 
-
-class TestSeedEnv:
-    def test_env_default(self, capsys, monkeypatch):
-        # the parser is built once per process, so the variable has to be
-        # read on each call, not when the parser is built
-        def seed():
-            code, out, _ = run(capsys, "fgamma", data_path("vertex_wedge1.json"),
-                               "--format", "json")
-            assert code == 0
-            return json.loads(out)["seed"]
-
-        monkeypatch.setenv("TROPGW_SEED", "17")
-        assert seed() == 17
-        monkeypatch.delenv("TROPGW_SEED")
-        assert seed() == 0

@@ -197,11 +197,17 @@ class TestRelative:
         with pytest.raises(ValueError):
             relative_invariant(fan, [1, 1, 1, 1], [(0, 0, 0)], {}, K)
 
+    def test_class_with_no_ends_rejected(self):
+        # it used to count zero; absolute and dt refuse the zero class too
+        with pytest.raises(ValueError, match="zero class"):
+            relative_invariant(cp3_fan(special=(0, 1, 2, 3)), [0] * 4, [], {},
+                               K)
+
 
 class TestReducedDT:
     def test_product_of_lines_is_q(self):
         deg = [1, 1, 0, 0, 0, 0]
-        dt = reduced_dt(p1_cubed_fan(), deg, 1, K, seed=0)
+        dt = reduced_dt(p1_cubed_fan(), deg, 1, seed=0)
         assert dt == QHalfLaurent.monomial(1, 2)
 
     def test_cp3_substitutes_to_the_absolute_series(self):
@@ -211,7 +217,7 @@ class TestReducedDT:
         # W^DT equals W * x^{-k} with W the absolute count before rescaling.
         from tropgw.exactnum import q_to_lambda
         fan = cp3_fan()
-        dt = reduced_dt(fan, [1, 1, 1, 1], 2, K, seed=0)
+        dt = reduced_dt(fan, [1, 1, 1, 1], 2, seed=0)
         # undo the q^{d/2}/d! prefactor to recover W^DT
         wdt = dt * QHalfLaurent.monomial(1, -4)
         sub, real = q_to_lambda(wdt, K)
@@ -224,12 +230,12 @@ class TestReducedDT:
         # two lines in the x direction, one through each point: the bare
         # count is 4 = 2! * 2! (which line takes which copy of each ray), and
         # the normalization q^(sum(d)/2) / prod(d!) = q^2 / 4 leaves q^2
-        dt = reduced_dt(p1_cubed_fan(), [2, 2, 0, 0, 0, 0], 2, K, seed=0)
+        dt = reduced_dt(p1_cubed_fan(), [2, 2, 0, 0, 0, 0], 2, seed=0)
         assert dt == QHalfLaurent.monomial(1, 4)
 
     def test_zero_class_rejected(self):
         with pytest.raises(ValueError):
-            reduced_dt(p1_cubed_fan(), [0] * 6, 1, K)
+            reduced_dt(p1_cubed_fan(), [0] * 6, 1)
 
 
 def test_huge_class_is_not_listed():
@@ -277,7 +283,7 @@ def _bridge_cases() -> dict:
              [2, 2, 0, 0, 0, 0], 2, False),
             ("p1cubed-111100-disconnected", p1_cubed_fan(),
              [1, 1, 1, 1, 0, 0], 2, False)):
-        ends, cons = invariants._degree_ends(fan, degrees, points, 0)
+        ends, cons = invariants._class_ends(fan, degrees, (), points, 0)
         cases[name] = (CountRequest(
             tuple(ends), cycle_from_constraints(ends, cons), connected),
             points)
@@ -387,7 +393,7 @@ class TestDisconnectedOracle:
     ], ids=["p1cubed-110000", "p1cubed-111100", "cp3-1111"])
     def test_disconnected_count_is_the_block_sum(
             self, fan, degrees, points, connected, disconnected, seed):
-        ends, cons = invariants._degree_ends(fan, degrees, points, seed)
+        ends, cons = invariants._class_ends(fan, degrees, (), points, seed)
         cyc = cycle_from_constraints(ends, cons)
 
         def raw(is_connected):
@@ -443,8 +449,8 @@ class TestRobustness:
             q = rng.randint(-2, 2)
             rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
         for seed in (0, 1):
-            ends, cons = invariants._degree_ends(cp3_fan(), [1, 1, 1, 1], 2,
-                                                 seed)
+            ends, cons = invariants._class_ends(cp3_fan(), [1, 1, 1, 1], (),
+                                                2, seed)
             ends_u = [_apply(rows, e) for e in ends]
             cons_u = {label: ("point", _apply(rows, pt))
                       for label, (_, pt) in cons.items()}
@@ -488,7 +494,7 @@ class TestRobustness:
         # markers on vertices); the tie-break must still give the value at
         # generic points: criterion 5's anchor before the x^-4 normalization
         # for cp3, one line with its marker weight x for p1cubed
-        ends, _ = invariants._degree_ends(fan, degrees, points, 0)
+        ends, _ = invariants._class_ends(fan, degrees, (), points, 0)
         for grid_seed in range(18):
             rng = random.Random(grid_seed)
             cons = {len(ends) - points + j + 1:

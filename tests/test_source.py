@@ -74,3 +74,53 @@ def test_weights_resolve_at_no_drawn_shift():
               for a in (*node.args.posonlyargs, *node.args.args,
                         *node.args.kwonlyargs)]
     assert params and "shifts" not in params
+
+
+# parameters that callers outside the package still pass: perfbench hands a
+# seed to both weight functions, and every identity suite is called with
+# (order, seed)
+_UNREAD_PARAMETERS_KEPT = {
+    "weights.curve_weight(seed)",
+    "weights.substitution_consistent(seed)",
+    "identities.SUITES.<lambda>(seed)",
+}
+
+
+def _unread_parameters(path: Path) -> list[str]:
+    """module.scope(name) for each named parameter of a def or lambda that
+    its body never reads; self and names starting with _ are skipped."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Lambda):
+                name = f"{scope}.<lambda>"
+            elif isinstance(child, ast.Assign) and isinstance(
+                    child.targets[0], ast.Name):
+                name = f"{scope}.{child.targets[0].id}"
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                a = child.args
+                found.extend(
+                    f"{name}({p.arg})"
+                    for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)
+                    if p.arg != "self" and not p.arg.startswith("_")
+                    and p.arg not in read)
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_every_parameter_is_read():
+    # a parameter the body never reads looks like a setting of the result,
+    # and a positional caller must still fill its place
+    found = [f for p in sorted(SRC.glob("*.py")) for f in _unread_parameters(p)]
+    assert sorted(set(found) - _UNREAD_PARAMETERS_KEPT) == []
+    assert _UNREAD_PARAMETERS_KEPT <= set(found)

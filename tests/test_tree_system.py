@@ -17,7 +17,7 @@ from tropgw.enumeration import (
     place_curves,
 )
 from tropgw.identities import gamma_mu
-from tropgw.invariants import (CountRequest, _degree_ends, cp3_fan,
+from tropgw.invariants import (CountRequest, _class_ends, cp3_fan,
                                p1_cubed_fan)
 from tropgw.lattice import integral_kernel, quotient_projection
 from tropgw.tropcurve import _tree_system
@@ -224,7 +224,7 @@ def _requests():
     for fan, degrees, points in ((cp3_fan(), [1] * 4, 2),
                                  (p1_cubed_fan(), [1, 1, 0, 0, 0, 0], 1)):
         for seed in (0, 1):
-            ends, constraints = _degree_ends(fan, degrees, points, seed)
+            ends, constraints = _class_ends(fan, degrees, (), points, seed)
             yield (f"absolute {degrees} seed {seed}", ends,
                    cycle_from_constraints(ends, constraints), SearchBounds(),
                    True)
